@@ -13,6 +13,7 @@ The load-bearing properties:
   flipped branch direction the solver predicted.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +113,43 @@ fn main(input) {
     )
     assert len(condition) == 4
     assert condition.truncated
+
+
+WINDOW = """
+fn main(input) {
+    if (len(input) < 8) { return 0; }
+    var buf = alloc(4);
+    copy(buf, 0, input, 0, 4);
+    var k = input[0] & 3;
+    %s;
+    if (buf[1] == 90) { trap(7); }
+    return 1;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [
+        "copy(buf, 1, input, 2 + k, 1)",  # input-dependent source offset
+        "copy(buf, 1, input, 2, k)",  # input-dependent length
+        "copy(buf, 2 - k, input, 5, 1)",  # input-dependent destination offset
+        "fill(buf, 2 - k, 1, 0)",  # input-dependent fill offset
+        "fill(buf, 1, k, 0)",  # input-dependent fill length
+    ],
+)
+def test_input_dependent_copy_fill_windows_drop_constraints(stmt):
+    # On the seed k == 0; under other inputs buf[1] holds another byte
+    # (or zero), so a constraint on the seed's window would be fabricated.
+    program = compile_source(WINDOW % stmt)
+    _, condition = extract_path_condition(program, b"\x00ABCDEFG")
+    assert [c.describe() for c in condition] == []
+
+
+def test_concrete_copy_window_keeps_constraints():
+    program = compile_source(WINDOW % "copy(buf, 1, input, 2, 1)")
+    _, condition = extract_path_condition(program, b"\x00ABCDEFG")
+    assert [sorted(c.support()) for c in condition] == [[2]]
 
 
 def test_path_condition_prefix_and_site_queries():
