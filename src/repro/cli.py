@@ -57,8 +57,11 @@ import argparse
 import logging
 import os
 
-from repro.experiments.config import FUZZER_CONFIGS, run_config
+from repro.experiments.config import (FUZZER_CONFIGS, build_session, run_config,
+                                      run_session)
+from repro.fuzzer.campaign import result_from_engines
 from repro.fuzzer.clock import hours_to_ticks
+from repro.fuzzer.session import FRESH, REFUSED
 from repro.subjects import all_subject_names, get_subject
 
 
@@ -605,17 +608,28 @@ def cmd_fuzz(args):
                 },
             )
         try:
-            result = run_config(
-                subject,
-                args.config,
-                args.run_seed,
-                budget,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                telemetry=telemetry,
-                store=store,
-                resume_store=resume_store,
-            )
+            if FUZZER_CONFIGS[args.config].kind != "plain":
+                # The phased drivers checkpoint nothing and refuse a store.
+                result = run_config(subject, args.config, args.run_seed,
+                                    budget, store=store)
+            else:
+                # --resume requires its checkpoint; --checkpoint only warns.
+                session = build_session(subject, args.config, args.run_seed,
+                                        budget, checkpoint_path,
+                                        telemetry=telemetry, store=store)
+                resumed = session.open(bool(checkpoint_path),
+                                       replay_store=resume_store,
+                                       require_checkpoint=bool(args.resume))
+                if resumed.refusal:
+                    refused = "refused checkpoint %s (%s)" % (checkpoint_path,
+                                                              resumed.refusal)
+                    if resumed.rung == REFUSED:
+                        raise SystemExit("repro fuzz: error: " + refused)
+                    print("WARNING: %s; %s" % (refused, "started fresh"
+                          if resumed.rung == FRESH else "replayed the store"))
+                engine = run_session(session, checkpoint_every)
+                result = result_from_engines(subject, args.config,
+                                             args.run_seed, [engine], engine)
         finally:
             if store is not None:
                 store.close()

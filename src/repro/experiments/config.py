@@ -24,7 +24,6 @@ rounds, a 24 h/24 h opportunistic split.
 """
 
 import hashlib
-import os
 import random
 
 from repro.coverage.feedback import (
@@ -37,6 +36,7 @@ from repro.coverage.feedback import (
 )
 from repro.fuzzer.campaign import result_from_engines
 from repro.fuzzer.engine import EngineConfig, FuzzEngine, afl_engine_config
+from repro.fuzzer.session import CampaignSession
 from repro.strategies.culling import run_culling_campaign
 from repro.strategies.opportunistic import run_opportunistic_campaign
 
@@ -58,16 +58,6 @@ class ConfigSpec:
         # Extra EngineConfig keyword arguments layered over the subject's
         # execution limits (e.g. {"use_taint": True} for the taint config).
         self.engine_overrides = engine_overrides or {}
-
-    @property
-    def supports_instances(self):
-        """Whether this config can run as a main/secondary instance campaign.
-
-        Plain single-engine configs can; the culling and opportunistic
-        drivers orchestrate their own engine phases and would need their
-        own sync protocol.
-        """
-        return self.kind == "plain"
 
     def engine_config(self, subject):
         kwargs = dict(
@@ -113,55 +103,64 @@ def campaign_rng(subject_name, config_name, run_seed):
     return random.Random(int.from_bytes(digest[:8], "little"))
 
 
-def _run_plain_checkpointed(
-    engine, budget_ticks, checkpoint_path, checkpoint_every, resume_store=False
+def build_session(
+    subject, config_name, run_seed, budget_ticks, checkpoint_path=None,
+    instance=None, telemetry=None, store=None,
 ):
-    """Drive a plain engine in checkpointed slices (resume-aware).
+    """A plain campaign's engine (``store`` attached) in a :class:`CampaignSession`.
 
-    If ``checkpoint_path`` holds a valid snapshot of this campaign, the
-    engine resumes from it instead of recomputing from zero; stale or
-    corrupt files are refused (typed validation) and the campaign restarts
-    fresh.  Slicing at ``run_until`` barriers is trajectory-neutral, so the
-    result is byte-identical to an uninterrupted :meth:`FuzzEngine.run`.
-
-    With a store attached (``engine.store``), a successful checkpoint
-    resume backfills the store from the snapshot, and a *failed* one falls
-    back to replaying the store's surviving artifacts when ``resume_store``
-    allows (lossless, though not tick-identical — see
-    :mod:`repro.fuzzer.store`).
+    ``instance=None`` draws :func:`campaign_rng`; an index draws that
+    instance's stream (:func:`~repro.fuzzer.parallel.instance_rng_seed`).
     """
-    from repro.fuzzer.checkpoint import CheckpointError
+    spec = FUZZER_CONFIGS[config_name]
+    if spec.kind != "plain":
+        raise ValueError(
+            "config %r (%s) runs no single engine" % (config_name, spec.kind)
+        )
+    if instance is None:
+        rng = campaign_rng(subject.name, config_name, run_seed)
+    else:
+        from repro.fuzzer.parallel import instance_rng_seed
 
-    resumed = False
-    if os.path.exists(checkpoint_path):
-        try:
-            engine.resume(checkpoint_path)
-            resumed = True
-            if engine.store is not None:
-                from repro.fuzzer.store import attach_store
+        rng = random.Random(
+            instance_rng_seed(subject.name, config_name, run_seed, instance)
+        )
+    engine = FuzzEngine(
+        subject.program,
+        spec.feedback_factory(),
+        subject.seeds,
+        rng,
+        spec.engine_config(subject),
+        subject.tokens,
+        telemetry=telemetry,
+    )
+    engine.store = store
+    identity = dict(subject=subject.name, config=config_name, run_seed=run_seed,
+                    instance=instance, budget=budget_ticks)
+    return CampaignSession(engine, identity, budget_ticks, checkpoint_path)
 
-                attach_store(engine, engine.store)
-        except (CheckpointError, OSError):
-            pass  # unusable snapshot: recompute from zero
-    if not resumed:
-        engine.start(budget_ticks)
-        _replay_store(engine, resume_store)
-    every = checkpoint_every or max(1, budget_ticks // 8)
+
+def run_session(session, checkpoint_every=None):
+    """Drive an opened plain session to its budget; returns the engine.
+
+    With a checkpoint path the engine checkpoints every ``checkpoint_every``
+    ticks (default budget / 8); slicing at ``run_until`` barriers is
+    trajectory-neutral.
+    """
+    engine, budget_ticks = session.engine, session.budget_ticks
+    every = budget_ticks
+    if session.checkpoint_path:
+        every = checkpoint_every or max(1, budget_ticks // 8)
     while True:
-        target = min(budget_ticks, (engine.clock.ticks // every + 1) * every)
-        engine.run_until(target)
-        engine.save_checkpoint(checkpoint_path, meta={"ticks": engine.clock.ticks})
+        engine.run_until(min(budget_ticks, (engine.clock.ticks // every + 1) * every))
+        if session.checkpoint_path:
+            session.save({"ticks": engine.clock.ticks})
         if engine.clock.ticks >= budget_ticks:
             break
     engine.finish()
+    if engine.store is not None:
+        engine.store.finalize(engine)
     return engine
-
-
-def _replay_store(engine, resume_store):
-    """Rebuild a started engine from its store's surviving artifacts."""
-    store = engine.store
-    if store is not None and resume_store and store.has_artifacts():
-        store.replay_into(engine)
 
 
 def run_config(
@@ -172,8 +171,8 @@ def run_config(
 
     ``checkpoint_path`` (plain configs only) makes the campaign durable:
     the engine snapshots there periodically (every ``checkpoint_every``
-    ticks, default budget / 8) and resumes from a valid snapshot instead
-    of recomputing from zero — see :mod:`repro.fuzzer.checkpoint`.
+    ticks, default budget / 8) and resumes from a valid snapshot of this
+    campaign instead of recomputing from zero (:mod:`repro.fuzzer.session`).
 
     ``store`` (plain configs only) attaches a
     :class:`~repro.fuzzer.store.CampaignStore`: every retained input,
@@ -195,34 +194,17 @@ def run_config(
             "config %r (%s) cannot stream to a campaign store; "
             "only plain single-engine configs can" % (config_name, spec.kind)
         )
+    if spec.kind == "plain":
+        session = build_session(
+            subject, config_name, run_seed, budget_ticks, checkpoint_path,
+            telemetry=telemetry, store=store,
+        )
+        session.open(try_checkpoint=bool(checkpoint_path), replay_store=resume_store)
+        engine = run_session(session, checkpoint_every)
+        return result_from_engines(subject, config_name, run_seed, [engine], engine)
     rng = campaign_rng(subject.name, config_name, run_seed)
     engine_config = spec.engine_config(subject)
-    if spec.kind == "plain":
-        engine = FuzzEngine(
-            subject.program,
-            spec.feedback_factory(),
-            subject.seeds,
-            rng,
-            engine_config,
-            subject.tokens,
-            telemetry=telemetry,
-        )
-        if store is not None:
-            engine.store = store  # before start(): the dry run streams seeds
-        if checkpoint_path:
-            _run_plain_checkpointed(
-                engine, budget_ticks, checkpoint_path, checkpoint_every,
-                resume_store=resume_store,
-            )
-        else:
-            engine.start(budget_ticks)
-            _replay_store(engine, resume_store)
-            engine.run_until(budget_ticks)
-            engine.finish()
-        if store is not None:
-            store.finalize(engine)
-        engines, final = [engine], engine
-    elif spec.kind == "cull":
+    if spec.kind == "cull":
         engines, final = run_culling_campaign(
             subject,
             spec.feedback_factory,

@@ -146,8 +146,6 @@ def campaign(subject_name, config_name, run_seed, hours, scale=None):
     checkpoint_path = _campaign_checkpoint_path(
         subject_name, config_name, run_seed, hours, scale
     )
-    if checkpoint_path is not None and FUZZER_CONFIGS[config_name].kind != "plain":
-        checkpoint_path = None  # phased drivers orchestrate their own engines
     telemetry = None
     if FUZZER_CONFIGS[config_name].kind == "plain":
         # With REPRO_TRACE set, every fresh (uncached) matrix cell traces

@@ -35,7 +35,6 @@ those recovery paths under test.
 
 import hashlib
 import logging
-import multiprocessing
 import os
 import time
 from collections import deque
@@ -50,16 +49,11 @@ from repro.fuzzer.supervisor import (
     Supervisor,
     WorkerDeadError,
     WorkerLostError,
+    mp_context,
     recv_with_deadline,
 )
 
 logger = logging.getLogger("repro.fuzzer.parallel")
-
-
-def _mp_context():
-    """Prefer fork (cheap, inherits built subjects); fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 # -- matrix parallelism --------------------------------------------------------
@@ -160,7 +154,7 @@ def run_cells(
     policy = restart_policy or RestartPolicy(max_restarts=max_restarts)
     if progress is None:
         progress = MatrixProgress(total=len(tasks))
-    ctx = _mp_context()
+    ctx = mp_context()
     # Work items are (key, task, attempt, not_before): ``not_before`` holds
     # a retried cell out of the pool until its backoff expires.
     pending = deque((key, task, 0, 0.0) for key, task in tasks.items())
@@ -286,34 +280,6 @@ def instance_rng_seed(subject_name, config_name, run_seed, worker_index):
     return int.from_bytes(digest[:8], "little")
 
 
-def _build_instance_engine(subject_name, config_name, run_seed, worker_index):
-    import random
-
-    from repro.experiments.config import FUZZER_CONFIGS
-    from repro.fuzzer.engine import FuzzEngine
-    from repro.subjects import get_subject
-
-    spec = FUZZER_CONFIGS[config_name]
-    if spec.kind != "plain":
-        raise ValueError(
-            "instance parallelism supports plain configs only, not %r (%s)"
-            % (config_name, spec.kind)
-        )
-    subject = get_subject(subject_name)
-    rng = random.Random(
-        instance_rng_seed(subject_name, config_name, run_seed, worker_index)
-    )
-    engine = FuzzEngine(
-        subject.program,
-        spec.feedback_factory(),
-        subject.seeds,
-        rng,
-        spec.engine_config(subject),
-        subject.tokens,
-    )
-    return subject, engine
-
-
 def _instance_worker(
     conn,
     subject_name,
@@ -321,7 +287,7 @@ def _instance_worker(
     run_seed,
     worker_index,
     budget,
-    resume_path=None,
+    checkpoint_path=None,
     incarnation=0,
     output_dir=None,
     resume_store=False,
@@ -331,11 +297,10 @@ def _instance_worker(
     On spawn the worker reports ``("ready", resumed_round, note)``:
     ``resumed_round`` is how many sync rounds its restored state already
     embodies (0 for a fresh engine), so the parent knows which history
-    suffix to replay.  A stale/corrupt checkpoint is *refused* (typed
-    validation in :mod:`repro.fuzzer.checkpoint`), reported in ``note``;
-    the worker then falls back to its durable store slice when one holds
-    artifacts (``output_dir`` campaigns), and to a fresh engine otherwise —
-    the supervisor's deterministic replay rebuilds the lost rounds.
+    suffix to replay.  A restarted worker (``incarnation > 0``) climbs the
+    resume ladder of :mod:`repro.fuzzer.session` and reports a refused
+    checkpoint in ``note``; the supervisor's deterministic replay rebuilds
+    whatever rounds its state lacks.
 
     With ``output_dir`` the worker owns the ``<output_dir>/w<index>/``
     workspace slice (:class:`repro.fuzzer.store.CampaignStore`): every new
@@ -348,20 +313,17 @@ def _instance_worker(
     (kill / stall / drop), just after a checkpoint write (truncate), and
     inside store artifact commits (torn-write / corrupt-file).
     """
+    from repro.experiments.config import build_session
     from repro.fuzzer import faultinject
-    from repro.fuzzer.checkpoint import CheckpointError
+    from repro.fuzzer.session import CHECKPOINT, FRESH, STORE
+    from repro.subjects import get_subject
 
     store = None
     try:
         from repro import telemetry
 
         telemetry.child_trace("w%d" % worker_index)
-        subject, engine = _build_instance_engine(
-            subject_name, config_name, run_seed, worker_index
-        )
-        engine.telemetry = telemetry.engine_telemetry(
-            label="w%d" % worker_index, budget_ticks=budget
-        )
+        subject = get_subject(subject_name)
         if output_dir is not None:
             from repro.fuzzer.store import CampaignStore, worker_name
 
@@ -376,44 +338,36 @@ def _instance_worker(
                 worker_index=worker_index,
                 incarnation=incarnation,
             )
-            engine.store = store
+        session = build_session(
+            subject,
+            config_name,
+            run_seed,
+            budget,
+            checkpoint_path,
+            instance=worker_index,
+            telemetry=telemetry.engine_telemetry(
+                label="w%d" % worker_index, budget_ticks=budget
+            ),
+            store=store,
+        )
+        engine = session.engine
+        resumed = session.open(
+            incarnation > 0, replay_store=resume_store or incarnation > 0
+        )
         # Foreign-queue dedup: every content hash this worker has already
         # considered (its own corpus streams through the store, so the
         # store's hash index covers those).
         seen = {input_hash(seed) for seed in subject.seeds}
         round_no = 0  # sync rounds completed (and embodied in engine state)
-        reported = 0  # first entry id not yet shipped to the parent
-        note = ""
-        if resume_path is not None:
-            try:
-                meta = engine.resume(resume_path)
-                round_no = int(meta.get("round", 0))
-                reported = engine.queue.next_entry_id()
-                if store is not None:
-                    # Backfill artifacts the snapshot holds but a torn
-                    # store might not (content-deduped, so normally no-op).
-                    from repro.fuzzer.store import attach_store
-
-                    attach_store(engine, store)
-            except (CheckpointError, OSError) as exc:
-                note = "%s: %s" % (type(exc).__name__, exc)
-                resume_path = None
-        if resume_path is None:
-            engine.start(budget)
-            if (
-                store is not None
-                and (resume_store or incarnation > 0)
-                and store.has_artifacts()
-            ):
-                # No (valid) checkpoint: the workspace on disk is the newest
-                # surviving truth.  The tolerant scan quarantines damage and
-                # the survivors replay through import_input — lossless for
-                # everything durably written, though not tick-identical.
-                store.replay_into(engine)
-                round_no = store.rounds()
-                reported = engine.queue.next_entry_id()
-                if note:
-                    note += "; recovered from store (%d rounds)" % round_no
+        if resumed.rung == CHECKPOINT:
+            round_no = int(resumed.meta.get("round", 0))
+        elif resumed.rung == STORE:
+            round_no = store.rounds()
+        # First entry id not yet shipped to the parent.
+        reported = 0 if resumed.rung == FRESH else engine.queue.next_entry_id()
+        note = resumed.refusal
+        if note and resumed.rung == STORE:
+            note += "; recovered from store (%d rounds)" % round_no
         conn.send(("ready", round_no, note))
         plan = faultinject.active_plan()
         while True:
@@ -470,13 +424,11 @@ def _instance_worker(
                 store.record_round(sync_round)
                 conn.send(("imported", added, scanned))
             elif command[0] == "checkpoint":
-                path, ckpt_round = command[1], command[2]
-                engine.save_checkpoint(
-                    path, meta={"round": ckpt_round, "worker": worker_index}
-                )
+                ckpt_round = command[1]
+                session.save({"round": ckpt_round, "worker": worker_index})
                 fault = plan.match("checkpoint", worker_index, ckpt_round, incarnation)
                 if fault is not None:
-                    faultinject.fire_checkpoint_fault(fault, path)
+                    faultinject.fire_checkpoint_fault(fault, checkpoint_path)
                 conn.send(("checkpointed", ckpt_round))
             elif command[0] == "finish":
                 from repro.fuzzer.campaign import result_from_engines
@@ -676,7 +628,7 @@ def run_instance_campaign(
     from repro.subjects import get_subject
 
     spec = FUZZER_CONFIGS[config_name]
-    if not spec.supports_instances:
+    if spec.kind != "plain":
         raise ValueError(
             "config %r (%s) cannot run as parallel instances; "
             "only plain single-engine configs can" % (config_name, spec.kind)
@@ -691,7 +643,7 @@ def run_instance_campaign(
     if restart_policy is None:
         restart_policy = RestartPolicy() if supervise else RestartPolicy(max_restarts=0)
     subject = get_subject(subject_name)  # also validates the name pre-fork
-    ctx = _mp_context()
+    ctx = mp_context()
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
     if output_dir:
@@ -706,20 +658,7 @@ def run_instance_campaign(
     current = {"target": None, "round": 0}
 
     def spawn(worker):
-        """(Re)start one worker, resuming from checkpoint or store.
-
-        A replacement prefers its last valid checkpoint (tick-identical
-        resume); the worker itself falls back to its durable store slice
-        when the checkpoint is missing or refused, and to a fresh engine
-        plus deterministic replay otherwise.
-        """
-        resume_path = None
-        if (
-            worker.incarnation > 0
-            and worker.checkpoint_path
-            and os.path.exists(worker.checkpoint_path)
-        ):
-            resume_path = worker.checkpoint_path
+        """(Re)start one worker; a replacement climbs the resume ladder."""
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_instance_worker,
@@ -730,7 +669,7 @@ def run_instance_campaign(
                 run_seed,
                 worker.index,
                 budget_ticks,
-                resume_path,
+                worker.checkpoint_path,
                 worker.incarnation,
                 output_dir,
                 resume_store,
@@ -742,7 +681,7 @@ def run_instance_campaign(
         worker.attach(proc, parent_conn)
         ready = recv_with_deadline(parent_conn, worker_timeout, worker.index, "ready")
         worker.resumed_round = ready[1]
-        if len(ready) > 2 and ready[2]:
+        if ready[2]:
             logger.warning(
                 "worker %d refused checkpoint %s (%s)",
                 worker.index,
@@ -898,11 +837,7 @@ def run_instance_campaign(
             if checkpoint_dir:
                 for worker in sup.alive():
                     try:
-                        sup.request(
-                            worker,
-                            ("checkpoint", worker.checkpoint_path, round_no),
-                            "checkpointed",
-                        )
+                        sup.request(worker, ("checkpoint", round_no), "checkpointed")
                     except WorkerLostError:
                         if not supervise:
                             raise

@@ -23,6 +23,7 @@ Worker exceptions (``WorkerTaskError``) are deliberately not retried: they
 are deterministic, so a restart would only reproduce them more slowly.
 """
 
+import multiprocessing
 import time
 
 from repro.fuzzer.checkpoint import CheckpointError
@@ -31,6 +32,12 @@ from repro.fuzzer.checkpoint import CheckpointError
 # stalled.  Virtual-clock rounds complete in milliseconds; two minutes of
 # silence means a wedged pipe, not a slow campaign.
 DEFAULT_WORKER_TIMEOUT = 120.0
+
+
+def mp_context():
+    """Prefer fork (cheap, inherits built subjects); fall back to spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 class WorkerError(RuntimeError):

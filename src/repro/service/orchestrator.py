@@ -35,7 +35,6 @@ import signal
 import time
 
 from repro.fuzzer.checkpoint import CheckpointCorruptError, CheckpointError
-from repro.fuzzer.parallel import _mp_context
 from repro.fuzzer.store import (
     CRASH_DIR,
     StoreLockError,
@@ -52,6 +51,7 @@ from repro.fuzzer.supervisor import (
     WorkerError,
     WorkerTaskError,
     failure_category,
+    mp_context,
 )
 from repro.service import intake
 from repro.service.dedupe import CrashDedupe
@@ -1000,7 +1000,7 @@ class CampaignService:
     def _spawn(self, spec, incarnation):
         job_dir = self._job_dir(spec.job_id)
         os.makedirs(job_dir, exist_ok=True)
-        ctx = _mp_context()
+        ctx = mp_context()
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=job_worker_main,

@@ -7,15 +7,11 @@ survival kit: the engine streams artifacts into a durable
 and a versioned checkpoint is written after every budget slice, so a
 retried attempt resumes instead of restarting.
 
-The resume ladder on respawn (``incarnation > 0``) mirrors PR 2/PR 4:
-
-1. a valid ``engine.ckpt`` resumes tick-exactly;
-2. a missing/torn checkpoint falls back to replaying the durable store
-   slice (lossless for everything committed, not tick-identical) — unless
-   the spec says ``require_checkpoint``, in which case the corruption is
-   reported as a typed ``checkpoint-corrupt`` failure and the job
-   degrades instead of silently recomputing;
-3. an empty store means a fresh start.
+A retried attempt (``incarnation > 0``) climbs the resume ladder of
+:mod:`repro.fuzzer.session` — checkpoint, then store replay, then fresh.
+A job whose spec says ``require_checkpoint`` does not fall back: a
+refused checkpoint is reported as a typed ``checkpoint-corrupt`` failure
+and the job degrades instead of silently recomputing.
 
 Every outbound message (heartbeats and the final result alike) passes the
 fault gate: ``job-drop@<job-index>.<msg>`` swallows it, ``heartbeat-stall``
@@ -25,16 +21,12 @@ heartbeat deadline exists to catch.
 
 import os
 
+from repro.experiments.config import build_session
 from repro.fuzzer import faultinject
-from repro.fuzzer.checkpoint import CheckpointError
-from repro.fuzzer.parallel import _build_instance_engine
-from repro.fuzzer.store import (
-    MAIN_WORKER,
-    CampaignStore,
-    StoreFencedError,
-    attach_store,
-)
+from repro.fuzzer.session import REFUSED
+from repro.fuzzer.store import MAIN_WORKER, CampaignStore, StoreFencedError
 from repro.service.jobs import JobSpec
+from repro.subjects import get_subject
 
 #: Budget slices per attempt: one checkpoint + heartbeat per slice.
 SLICES = 8
@@ -98,12 +90,6 @@ def job_worker_main(conn, spec_dict, job_dir, incarnation=0, lease_ttl=None):
         from repro import telemetry
 
         telemetry.child_trace("job-%s" % spec.job_id)
-        subject, engine = _build_instance_engine(
-            spec.subject, spec.config, spec.run_seed, 0
-        )
-        engine.telemetry = telemetry.engine_telemetry(
-            label=spec.job_id, budget_ticks=spec.budget_ticks
-        )
         store = CampaignStore(
             os.path.join(job_dir, STORE_DIR),
             worker=MAIN_WORKER,
@@ -116,47 +102,38 @@ def job_worker_main(conn, spec_dict, job_dir, incarnation=0, lease_ttl=None):
             incarnation=incarnation,
             lease_ttl=lease_ttl,
         )
-        engine.store = store
-        ckpt_path = os.path.join(job_dir, CHECKPOINT_NAME)
-        done_slices = 0
-        resumed = False
-        if incarnation > 0 and os.path.exists(ckpt_path):
-            try:
-                meta = engine.resume(ckpt_path)
-                done_slices = int(meta.get("slice", 0))
-                attach_store(engine, store)
-                resumed = True
-            except (CheckpointError, OSError) as exc:
-                if spec.require_checkpoint:
-                    # The operator asked for tick-exact resume or nothing:
-                    # report the typed corruption and let the job degrade.
-                    guard.send(
-                        (
-                            "error",
-                            "checkpoint-corrupt",
-                            "%s: %s" % (type(exc).__name__, exc),
-                        )
-                    )
-                    return
-        if not resumed:
-            engine.start(spec.budget_ticks)
-            if incarnation > 0 and store.has_artifacts():
-                # No (valid) checkpoint: the durable store slice is the
-                # newest surviving truth.  Quarantine-tolerant replay.
-                store.replay_into(engine)
+        session = build_session(
+            get_subject(spec.subject),
+            spec.config,
+            spec.run_seed,
+            spec.budget_ticks,
+            os.path.join(job_dir, CHECKPOINT_NAME),
+            instance=0,
+            telemetry=telemetry.engine_telemetry(
+                label=spec.job_id, budget_ticks=spec.budget_ticks
+            ),
+            store=store,
+        )
+        engine = session.engine
+        retried = incarnation > 0
+        resumed = session.open(
+            retried, replay_store=retried, require_checkpoint=spec.require_checkpoint
+        )
+        if resumed.rung == REFUSED:  # require_checkpoint: degrade, typed
+            guard.send(("error", "checkpoint-corrupt", resumed.refusal))
+            return
+        done_slices = int(resumed.meta.get("slice", 0))
         plan = faultinject.active_plan()
         for slice_no in range(done_slices, SLICES):
             engine.run_until(spec.budget_ticks * (slice_no + 1) // SLICES)
             store.renew_lease()
-            engine.save_checkpoint(
-                ckpt_path, meta={"slice": slice_no + 1, "job": spec.job_id}
-            )
+            session.save({"slice": slice_no + 1, "job": spec.job_id})
             if plan:
                 fault = plan.match(
                     "checkpoint", spec.index, slice_no + 1, incarnation
                 )
                 if fault is not None:
-                    faultinject.fire_checkpoint_fault(fault, ckpt_path)
+                    faultinject.fire_checkpoint_fault(fault, session.checkpoint_path)
             guard.send(("heartbeat", _summary(engine, slice_no + 1)))
         engine.finish()
         store.finalize(engine, extra={"job": spec.job_id})

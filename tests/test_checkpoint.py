@@ -7,15 +7,18 @@ timeline.  The file format's paranoia (magic, version, source fingerprint,
 payload digest) is what lets resuming refuse to silently diverge.
 """
 
+import contextlib
 import os
 import random
+import signal
 
 import pytest
 
 import repro.experiments.runner as runner
-from repro.experiments.config import FUZZER_CONFIGS, campaign_rng, run_config
+from repro.experiments.config import build_session, run_config
 from repro.experiments.runner import campaign
 from repro.coverage.feedback import PathFeedback
+from repro.fuzzer import faultinject
 from repro.fuzzer.checkpoint import (
     MAGIC,
     CheckpointCorruptError,
@@ -26,6 +29,16 @@ from repro.fuzzer.checkpoint import (
     write_checkpoint,
 )
 from repro.fuzzer.engine import FuzzEngine
+from repro.fuzzer.parallel import run_instance_campaign
+from repro.fuzzer.session import (
+    CHECKPOINT,
+    FRESH,
+    REFUSED,
+    STORE,
+    CampaignSession,
+)
+from repro.fuzzer.store import QUEUE_DIR, CampaignStore
+from repro.fuzzer.supervisor import RestartPolicy
 from repro.subjects import get_subject
 
 BUDGET = 30_000  # ticks: a tiny but non-degenerate campaign
@@ -232,29 +245,29 @@ def test_run_config_with_checkpoint_equals_plain(tmp_path):
     assert checkpointed == plain
 
 
-def test_run_config_resumes_partial_checkpoint(tmp_path):
+def test_run_config_resumes_partial_checkpoint(tmp_path, monkeypatch):
     """A cell killed mid-run picks up from its snapshot, not from zero."""
     subject = get_subject("flvmeta")
     path = str(tmp_path / "cell.ckpt")
-    spec = FUZZER_CONFIGS["path"]
-    partial = FuzzEngine(
-        subject.program,
-        spec.feedback_factory(),
-        subject.seeds,
-        campaign_rng(subject.name, "path", 0),
-        spec.engine_config(subject),
-        subject.tokens,
-    )
-    partial.start(BUDGET)
-    partial.run_until(BUDGET // 2)
-    partial.save_checkpoint(path)
-    execs_done = partial.execs
+    partial = build_session(subject, "path", 0, BUDGET, path)
+    partial.open(try_checkpoint=False)
+    partial.engine.run_until(BUDGET // 2)
+    partial.save({"ticks": partial.engine.clock.ticks})
 
+    rungs = []
+    real_open = CampaignSession.open
+
+    def spy(self, *args, **kwargs):
+        resumed = real_open(self, *args, **kwargs)
+        rungs.append(resumed.rung)
+        return resumed
+
+    monkeypatch.setattr(CampaignSession, "open", spy)
     resumed = run_config(subject, "path", 0, BUDGET, checkpoint_path=path)
     uninterrupted = run_config(subject, "path", 0, BUDGET)
     assert resumed == uninterrupted
     # It really resumed: the first attempt's executions were not redone.
-    assert resumed.execs >= execs_done
+    assert rungs == [CHECKPOINT, FRESH]
 
 
 def test_run_config_recovers_from_torn_checkpoint(tmp_path):
@@ -274,6 +287,172 @@ def test_campaign_checkpoints_under_env_dir(tmp_path, monkeypatch):
     assert result == campaign("flvmeta", "path", 0, hours=1, scale=0.05)
     # A completed campaign cleans up its resume point.
     assert [p for p in os.listdir(str(tmp_path)) if p.endswith(".ckpt")] == []
+
+
+# -- the resume ladder (repro.fuzzer.session) ----------------------------------
+
+STORE_META = {"subject": "flvmeta", "config": "path", "run_seed": 0}
+
+
+def _session(path=None, store=None, subject="flvmeta", run_seed=0, budget=BUDGET):
+    return build_session(
+        get_subject(subject), "path", run_seed, budget, path, store=store
+    )
+
+
+def _half_run(path=None, store=None, **identity):
+    """A session that fuzzed half its budget and checkpointed there."""
+    session = _session(path, store=store, **identity)
+    session.open(try_checkpoint=False)
+    session.engine.run_until(BUDGET // 2)
+    if path is not None:
+        session.save({"ticks": session.engine.clock.ticks})
+    return session.engine
+
+
+def _tear(path):
+    with open(path, "wb") as handle:
+        handle.write(b"torn")
+
+
+def _queue_files(root):
+    return sorted(os.listdir(os.path.join(str(root), "main", QUEUE_DIR)))
+
+
+def test_ladder_valid_checkpoint_resumes_tick_identically(tmp_path):
+    path = str(tmp_path / "c.ckpt")
+    _half_run(path)
+    session = _session(path)
+    resumed = session.open(try_checkpoint=True)
+    assert (resumed.rung, resumed.refusal) == (CHECKPOINT, "")
+    assert resumed.meta["ticks"] == session.engine.clock.ticks
+    session.engine.run_until(BUDGET)
+    session.engine.finish()
+    rerun = _session()
+    rerun.open(try_checkpoint=False)
+    rerun.engine.run_until(BUDGET)
+    rerun.engine.finish()
+    assert _engine_state(session.engine) == _engine_state(rerun.engine)
+
+
+def test_ladder_torn_checkpoint_replays_nonempty_store(tmp_path):
+    path, root = str(tmp_path / "c.ckpt"), tmp_path / "out"
+    with CampaignStore(str(root), meta=STORE_META) as store:
+        lost = _half_run(store=store)
+    _tear(path)
+    with CampaignStore(str(root), meta=STORE_META) as store:
+        session = _session(path, store=store)
+        resumed = session.open(try_checkpoint=True, replay_store=True)
+    assert resumed.rung == STORE
+    assert "CheckpointCorruptError" in resumed.refusal
+    survivors = {entry.data for entry in session.engine.queue.entries}
+    assert {entry.data for entry in lost.queue.entries} <= survivors
+
+
+def test_ladder_torn_checkpoint_with_empty_store_starts_fresh(tmp_path):
+    path = str(tmp_path / "c.ckpt")
+    _tear(path)
+    with CampaignStore(str(tmp_path / "out"), meta=STORE_META) as store:
+        session = _session(path, store=store)
+        resumed = session.open(try_checkpoint=True, replay_store=True)
+    assert resumed.rung == FRESH
+    assert "CheckpointCorruptError" in resumed.refusal
+    assert session.engine.clock.ticks > 0  # started: the seeds were dry-run
+
+
+def test_ladder_require_checkpoint_refuses_before_start(tmp_path):
+    path, root = str(tmp_path / "c.ckpt"), tmp_path / "out"
+    _tear(path)
+    with CampaignStore(str(root), meta=STORE_META) as store:
+        session = _session(path, store=store)
+        resumed = session.open(
+            try_checkpoint=True, replay_store=True, require_checkpoint=True
+        )
+        assert resumed.rung == REFUSED
+        assert "CheckpointCorruptError" in resumed.refusal
+        assert session.engine.clock is None  # never started
+        assert not store.has_artifacts()
+    assert _queue_files(root) == []
+
+
+@pytest.mark.parametrize(
+    "donor",
+    [{"subject": "gdk"}, {"run_seed": 1}, {"budget": BUDGET * 2}],
+    ids=["subject", "run_seed", "budget"],
+)
+def test_ladder_refuses_another_campaigns_checkpoint(tmp_path, donor):
+    path = str(tmp_path / "c.ckpt")
+    _half_run(path, **donor)
+    session = _session(path)
+    resumed = session.open(try_checkpoint=True, require_checkpoint=True)
+    assert resumed.rung == REFUSED
+    assert "CheckpointStaleError" in resumed.refusal
+    assert "another campaign" in resumed.refusal
+    assert session.engine.clock is None
+
+
+def test_ladder_refuses_checkpoint_without_identity(tmp_path):
+    path = str(tmp_path / "c.ckpt")
+    _session(path).engine.run(BUDGET // 2).save_checkpoint(path)
+    resumed = _session(path).open(try_checkpoint=True)
+    assert resumed.rung == FRESH
+    assert "CheckpointStaleError" in resumed.refusal
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when a campaign never reaches its budget."""
+
+    def expire(signum, frame):
+        raise TimeoutError("campaign still running after %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "donor",
+    [("gdk", 0, BUDGET), ("flvmeta", 1, BUDGET), ("flvmeta", 0, BUDGET // 2)],
+    ids=["subject", "run_seed", "budget"],
+)
+def test_run_config_refuses_foreign_checkpoint(tmp_path, donor):
+    subject_name, run_seed, budget = donor
+    path = str(tmp_path / "cell.ckpt")
+    run_config(
+        get_subject(subject_name), "path", run_seed, budget, checkpoint_path=path
+    )
+    subject = get_subject("flvmeta")
+    with _deadline(60):
+        result = run_config(subject, "path", 0, BUDGET, checkpoint_path=path)
+    assert result == run_config(subject, "path", 0, BUDGET)
+
+
+def test_instance_campaign_refuses_foreign_checkpoint_dir(tmp_path):
+    """A restarted worker must not adopt another subject's worker0.ckpt."""
+    checkpoint_dir = str(tmp_path)
+    run_instance_campaign(
+        "gdk", "path", 0, BUDGET, workers=2, checkpoint_dir=checkpoint_dir
+    )
+    assert os.path.exists(os.path.join(checkpoint_dir, "worker0.ckpt"))
+    clean, _, _ = run_instance_campaign("flvmeta", "path", 0, BUDGET, workers=2)
+    with faultinject.injected("kill@0.1"):
+        merged, _, _ = run_instance_campaign(
+            "flvmeta",
+            "path",
+            0,
+            BUDGET,
+            workers=2,
+            checkpoint_dir=checkpoint_dir,
+            restart_policy=RestartPolicy(max_restarts=3, backoff_base=0.01),
+            worker_timeout=10.0,
+        )
+    assert merged.worker_restarts == (1, 0)
+    assert merged == clean
 
 
 # -- typed, actionable error detail --------------------------------------------

@@ -98,6 +98,52 @@ def test_fuzz_resume_dir_requires_existing_workspace(tmp_path):
         main(["fuzz", "gdk", "--resume-dir", str(tmp_path / "missing")])
 
 
+def _gdk_checkpoint(tmp_path):
+    path = str(tmp_path / "c.ckpt")
+    assert main(["fuzz", "gdk", "--hours", "0.1", "--scale", "0.5",
+                 "--checkpoint", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("damage", ["foreign", "corrupt"])
+def test_fuzz_resume_fails_on_refused_checkpoint(tmp_path, capsys, monkeypatch,
+                                                 damage):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    path = _gdk_checkpoint(tmp_path)
+    if damage == "corrupt":
+        with open(path, "r+b") as handle:
+            handle.truncate(40)
+        subject, reason = "gdk", "CheckpointCorruptError"
+    else:
+        subject, reason = "jq", "CheckpointStaleError"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fuzz", subject, "--hours", "0.1", "--scale", "0.5",
+              "--resume", path])
+    assert excinfo.value.code not in (0, None)
+    assert "refused checkpoint" in str(excinfo.value.code)
+    assert reason in str(excinfo.value.code)
+    assert "executions:" not in capsys.readouterr().out
+
+
+def test_fuzz_checkpoint_warns_on_refused_checkpoint_and_starts_fresh(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    path = _gdk_checkpoint(tmp_path)
+    capsys.readouterr()
+    assert main(["fuzz", "jq", "--hours", "0.1", "--scale", "0.5"]) == 0
+    fresh = capsys.readouterr().out
+    assert main(["fuzz", "jq", "--hours", "0.1", "--scale", "0.5",
+                 "--checkpoint", path]) == 0
+    out = capsys.readouterr().out
+    warnings = [line for line in out.splitlines() if line.startswith("WARNING")]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("WARNING: refused checkpoint %s" % path)
+    assert "CheckpointStaleError" in warnings[0]
+    assert warnings[0].endswith("; started fresh")
+    assert out.replace(warnings[0] + "\n", "") == fresh
+
+
 def test_fuzz_output_and_resume_dir_must_agree(tmp_path):
     with pytest.raises(SystemExit):
         main(["fuzz", "gdk", "--output", "a", "--resume-dir", "b"])
