@@ -57,6 +57,7 @@ import argparse
 import logging
 import os
 
+from repro.analysis.solver import DEFAULT_MAX_BYTES, DEFAULT_NODE_BUDGET
 from repro.experiments.config import (FUZZER_CONFIGS, build_session, run_config,
                                       run_session)
 from repro.fuzzer.campaign import result_from_engines
@@ -182,12 +183,14 @@ def build_arg_parser():
                        help="a subject name or a MiniC source file")
     solve.add_argument("input", metavar="INPUT",
                        help="input file to replay ('-' reads stdin)")
-    solve.add_argument("--max-bytes", type=int, default=4, metavar="N",
+    solve.add_argument("--max-bytes", type=int, default=DEFAULT_MAX_BYTES,
+                       metavar="N",
                        help="skip constraints supported by more than N input "
-                            "bytes (default 4)")
-    solve.add_argument("--node-budget", type=int, default=4096, metavar="N",
+                            "bytes (default %(default)s)")
+    solve.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                       metavar="N",
                        help="interval-split search nodes per constraint "
-                            "(default 4096)")
+                            "(default %(default)s)")
     solve.add_argument("--flips", type=int, default=0, metavar="N",
                        help="attempt at most N flips (default 0 = all)")
     solve.add_argument("--json", action="store_true",

@@ -43,17 +43,14 @@ def concolic_enabled(flag=None):
 class ConcolicState:
     """Mutable per-engine concolic bookkeeping (snapshot/restore-able).
 
-    The branch index is a pure function of (program, instrumentation) and
-    is rebuilt lazily after restore, like TaintState's.  The plateau
-    detector IS snapshotted — a restored engine must resume with the same
-    stall signal or escalation timing (and therefore the virtual clock)
-    would diverge.
+    The plateau detector is snapshotted: a restored engine must resume
+    with the same stall signal or escalation timing (and therefore the
+    virtual clock) would diverge.
     """
 
     __slots__ = (
         "visits",
         "detector",
-        "branch_index",
         "targets_selected",
         "extract_runs",
         "solve_attempts",
@@ -65,7 +62,6 @@ class ConcolicState:
     def __init__(self):
         self.visits = {}  # map index -> times escalated
         self.detector = None  # created on first observe (needs the budget)
-        self.branch_index = None  # lazily built; never snapshotted
         self.targets_selected = 0
         self.extract_runs = 0
         self.solve_attempts = 0
@@ -108,7 +104,6 @@ class ConcolicState:
             self.detector = PlateauDetector(detector_state["window"]).set_state(
                 detector_state
             )
-        self.branch_index = None
         self.targets_selected = snap["targets_selected"]
         self.extract_runs = snap["extract_runs"]
         self.solve_attempts = snap["solve_attempts"]

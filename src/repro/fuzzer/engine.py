@@ -31,6 +31,16 @@ from repro.taint import TaintState, build_branch_index, select_targets, taint_en
 from repro.triage.stacktrace import stack_hash
 
 
+#: Targeted-stage budgets (DESIGN §12, §14).  A taint target whose focus
+#: mask has at most TAINT_SWEEP_BYTES bytes is enumerated outright; a wider
+#: one gets TAINT_ENERGY masked havoc executions.  Each stage aims at one
+#: branch at most its *_REVISITS times per campaign.
+TAINT_ENERGY = 32
+TAINT_SWEEP_BYTES = 2
+TAINT_REVISITS = 4
+CONCOLIC_REVISITS = 2
+
+
 class EngineConfig:
     """Tunables of the fuzzing loop (defaults model AFL++ 4.07a)."""
 
@@ -50,14 +60,8 @@ class EngineConfig:
         "saturation_interval",
         "use_taint",
         "taint_targets",
-        "taint_energy",
-        "taint_sweep_bytes",
-        "taint_revisits",
         "use_concolic",
         "concolic_targets",
-        "concolic_max_bytes",
-        "concolic_node_budget",
-        "concolic_revisits",
     )
 
     def __init__(
@@ -77,14 +81,8 @@ class EngineConfig:
         saturation_interval=0,
         use_taint=None,
         taint_targets=4,
-        taint_energy=32,
-        taint_sweep_bytes=2,
-        taint_revisits=4,
         use_concolic=None,
         concolic_targets=2,
-        concolic_max_bytes=4,
-        concolic_node_budget=4096,
-        concolic_revisits=2,
     ):
         self.max_input_len = max_input_len
         self.use_cmplog = use_cmplog
@@ -107,27 +105,16 @@ class EngineConfig:
         self.saturation_interval = saturation_interval
         # Taint-guided mutation (repro.taint): None defers to REPRO_TAINT
         # (default off).  Per queue cycle, ``taint_targets`` rare branches
-        # are selected; masks of at most ``taint_sweep_bytes`` bytes are
-        # enumerated exhaustively, wider ones get ``taint_energy`` masked
-        # havoc executions; each branch is targeted at most
-        # ``taint_revisits`` times per campaign.
+        # get masked mutation (budgets: the TAINT_* constants above).
         self.use_taint = use_taint
         self.taint_targets = taint_targets
-        self.taint_energy = taint_energy
-        self.taint_sweep_bytes = taint_sweep_bytes
-        self.taint_revisits = taint_revisits
         # Concolic escalation (repro.analysis.symbolic/.solver): None
         # defers to REPRO_CONCOLIC (default off).  While coverage sits in
         # an open plateau, ``concolic_targets`` rare branches per queue
         # cycle get their champion's path condition extracted and the
-        # guard solved (bounded to ``concolic_max_bytes`` symbolic bytes
-        # and ``concolic_node_budget`` search nodes); each branch is
-        # escalated at most ``concolic_revisits`` times per campaign.
+        # guard solved within the solver's default byte and node budgets.
         self.use_concolic = use_concolic
         self.concolic_targets = concolic_targets
-        self.concolic_max_bytes = concolic_max_bytes
-        self.concolic_node_budget = concolic_node_budget
-        self.concolic_revisits = concolic_revisits
 
 
 def afl_engine_config(**overrides):
@@ -240,6 +227,9 @@ class FuzzEngine:
         self.concolic = (
             ConcolicState() if concolic_enabled(self.config.use_concolic) else None
         )
+        # Map index -> branch site for both targeted stages; a pure function
+        # of (program, instrumentation), built on the first targeted cycle.
+        self._branch_index = None
 
     # -- the outer loop ------------------------------------------------------
 
@@ -288,9 +278,19 @@ class FuzzEngine:
                 # perturb the trajectory.  Both stages bound their own work
                 # against the clock *budget*, so overshoot stays bounded.
                 if self.taint is not None:
-                    self._taint_cycle()
-                if self.concolic is not None:
-                    self._concolic_cycle()
+                    self._targeted_cycle(
+                        self.taint,
+                        self.config.taint_targets,
+                        TAINT_REVISITS,
+                        self._taint_target_stage,
+                    )
+                if self.concolic is not None and self.concolic.stalled():
+                    self._targeted_cycle(
+                        self.concolic,
+                        self.config.concolic_targets,
+                        CONCOLIC_REVISITS,
+                        self._concolic_target_stage,
+                    )
                 if self.clock.ticks >= tick_target:
                     break
             entry = self.queue.entries[self._queue_index]
@@ -465,7 +465,6 @@ class FuzzEngine:
         """AFL's probabilistic skipping of non-favored entries."""
         if entry.favored:
             return False
-        self.queue.cull()
         if self.queue.pending_favored > 0:
             return self.rng.random() < 0.99
         if len(self.queue.entries) > 10:
@@ -522,26 +521,54 @@ class FuzzEngine:
                     tel.record_stage("mutate", _perf_counter() - t0)
                 self._run_and_process(mutated, entry.depth + 1)
 
-    # -- taint-guided masked mutation (repro.taint) ---------------------------
+    # -- rare-branch targeted stages (taint, concolic) -------------------------
 
-    def _taint_cycle(self):
-        """Once per queue cycle: pick rare branch targets, focus energy on them."""
-        taint = self.taint
-        if taint.branch_index is None:
-            taint.branch_index = build_branch_index(self.program, self.instrumentation)
+    def _targeted_cycle(self, state, limit, max_visits, aim):
+        """Once per queue cycle: pick rare branch targets, ``aim`` a stage at each.
+
+        ``state`` is the stage's TaintState or ConcolicState; only its visit
+        map and ``targets_selected`` counter are touched here.
+        """
+        if self._branch_index is None:
+            self._branch_index = build_branch_index(self.program, self.instrumentation)
         targets = select_targets(
             self.queue,
-            taint.branch_index,
-            self.config.taint_targets,
-            visits=taint.visits,
-            max_visits=self.config.taint_revisits,
+            self._branch_index,
+            limit,
+            visits=state.visits,
+            max_visits=max_visits,
         )
         for target in targets:
             if self.clock.expired():
                 return
-            taint.visits[target.index] = taint.visits.get(target.index, 0) + 1
-            taint.targets_selected += 1
-            self._taint_target_stage(target)
+            state.visits[target.index] = state.visits.get(target.index, 0) + 1
+            state.targets_selected += 1
+            aim(target)
+
+    def _aimed_run(self, data, parent, target):
+        """Execute one input aimed at ``target``; returns ``(flipped, new_entry)``.
+
+        Reaching a crash counts as a flip (the jackpot case); a hang does not.
+        """
+        result = self._execute(data)
+        if result.timeout:
+            self._record_hang(data)
+            return False, None
+        if result.crashed:
+            self._record_crash(data, result)
+            return True, None
+        sibling = target.sibling_index
+        flipped = sibling is not None and sibling in result.hits
+        return flipped, self._process_result(data, result, parent.depth + 1)
+
+    def _account_shadow_run(self, t0, result, ticks):
+        """Charge a shadow run (taint or extraction) as one execution."""
+        if self.telemetry is not None:
+            self.telemetry.record_exec(_perf_counter() - t0, result)
+        self.clock.charge(ticks)
+        self.execs += 1
+        if self.execs % self.config.timeline_interval == 0:
+            self._snapshot()
 
     def _taint_map_for(self, entry):
         """The entry's TaintMap, from cache or a fresh (clock-charged) taint run."""
@@ -549,21 +576,16 @@ class FuzzEngine:
         tmap = taint.cached_map(entry.entry_id)
         if tmap is not None:
             return tmap
-        tel = self.telemetry
-        t0 = _perf_counter() if tel is not None else 0.0
+        t0 = _perf_counter() if self.telemetry is not None else 0.0
         result, tmap = self.backend.taint_execute(
             entry.data,
             instr_budget=self.config.exec_instr_budget,
             call_depth_limit=self.config.call_depth_limit,
         )
-        if tel is not None:
-            tel.record_exec(_perf_counter() - t0, result)
-        # A taint run is an execution like any other on the virtual clock.
-        self.clock.charge(EXEC_OVERHEAD + result.virtual_cost + len(result.hits) // 4)
-        self.execs += 1
         taint.taint_runs += 1
-        if self.execs % self.config.timeline_interval == 0:
-            self._snapshot()
+        self._account_shadow_run(
+            t0, result, EXEC_OVERHEAD + result.virtual_cost + len(result.hits) // 4
+        )
         if result.crashed or result.timeout:
             # A queue entry that stopped replaying clean (nondeterministic
             # programs don't exist here, but budget-boundary hangs can):
@@ -574,7 +596,6 @@ class FuzzEngine:
 
     def _taint_target_stage(self, target):
         """Masked I2S + sweep/havoc aimed at one rare-branch target."""
-        config = self.config
         entry = target.entry
         tmap = self._taint_map_for(entry)
         if tmap is None:
@@ -588,7 +609,7 @@ class FuzzEngine:
             if self.clock.expired():
                 return
             self._masked_run(candidate, entry, target, focus)
-        if len(focus) <= config.taint_sweep_bytes:
+        if len(focus) <= TAINT_SWEEP_BYTES:
             # Tiny mask: enumerate it outright (Angora's exploitation).
             for candidate in sweep_candidates(entry.data, focus):
                 if self.clock.expired():
@@ -596,7 +617,7 @@ class FuzzEngine:
                 if self._masked_run(candidate, entry, target, focus):
                     return
         else:
-            for _ in range(config.taint_energy):
+            for _ in range(TAINT_ENERGY):
                 if self.clock.expired():
                     return
                 mutated = masked_havoc(self.rng, entry.data, focus)
@@ -605,59 +626,18 @@ class FuzzEngine:
     def _masked_run(self, data, parent, target, focus):
         """Execute one masked mutation; True when the target branch flipped."""
         taint = self.taint
-        tel = self.telemetry
         taint.masked_execs += 1
-        result = self._execute(data)
-        if result.timeout:
-            self._record_hang(data)
-            if tel is not None:
-                tel.record_masked(False)
-            return False
-        if result.crashed:
-            self._record_crash(data, result)
-            taint.masked_hits += 1  # reaching a trigger is the jackpot case
-            if tel is not None:
-                tel.record_masked(True)
-            return True
-        sibling = target.sibling_index
-        hit = sibling is not None and sibling in result.hits
-        if hit:
+        flipped, entry = self._aimed_run(data, parent, target)
+        if flipped:
             taint.masked_hits += 1
-        if tel is not None:
-            tel.record_masked(hit)
-        entry = self._process_result(data, result, parent.depth + 1)
+        if self.telemetry is not None:
+            self.telemetry.record_masked(flipped)
         if entry is not None:
             entry.taint_focus = frozenset(focus)
-        return hit
-
-    # -- plateau-triggered concolic escalation (repro.analysis) ----------------
-
-    def _concolic_cycle(self):
-        """Once per queue cycle *while coverage is stalled*: solve rare guards."""
-        concolic = self.concolic
-        if not concolic.stalled():
-            return
-        if concolic.branch_index is None:
-            concolic.branch_index = build_branch_index(
-                self.program, self.instrumentation
-            )
-        targets = select_targets(
-            self.queue,
-            concolic.branch_index,
-            self.config.concolic_targets,
-            visits=concolic.visits,
-            max_visits=self.config.concolic_revisits,
-        )
-        for target in targets:
-            if self.clock.expired():
-                return
-            concolic.visits[target.index] = concolic.visits.get(target.index, 0) + 1
-            concolic.targets_selected += 1
-            self._concolic_target_stage(target)
+        return flipped
 
     def _concolic_target_stage(self, target):
         """Extract the champion's path condition, solve flips of the guard."""
-        config = self.config
         concolic = self.concolic
         entry = target.entry
         # Taint narrows the symbolic variable set to the branch's sound
@@ -675,17 +655,11 @@ class FuzzEngine:
             self.program,
             entry.data,
             sym_bytes=sym_bytes,
-            instr_budget=config.exec_instr_budget,
-            call_depth_limit=config.call_depth_limit,
+            instr_budget=self.config.exec_instr_budget,
+            call_depth_limit=self.config.call_depth_limit,
         )
-        if tel is not None:
-            tel.record_exec(_perf_counter() - t0, result)
-        # The shadow replay is an execution like any other on the clock.
-        self.clock.charge(EXEC_OVERHEAD + result.virtual_cost)
-        self.execs += 1
         concolic.extract_runs += 1
-        if self.execs % config.timeline_interval == 0:
-            self._snapshot()
+        self._account_shadow_run(t0, result, EXEC_OVERHEAD + result.virtual_cost)
         if result.crashed or result.timeout:
             return
         for constraint in condition.at_site(target.site)[:2]:
@@ -693,42 +667,22 @@ class FuzzEngine:
                 return
             concolic.solve_attempts += 1
             assignment, stats = solve_flip(
-                constraint,
-                condition.prefix(constraint.index),
-                entry.data,
-                max_bytes=config.concolic_max_bytes,
-                node_budget=config.concolic_node_budget,
+                constraint, condition.prefix(constraint.index), entry.data
             )
             # Solving is deterministic work; it pays clock like mutation.
             self.clock.charge(stats.clock_cost())
-            if assignment is not None:
-                concolic.solved += 1
             flipped = False
             if assignment is not None:
+                concolic.solved += 1
+                concolic.witness_execs += 1
                 witness = apply_witness(entry.data, assignment)
-                flipped = self._witness_run(witness, entry, target)
+                flipped = self._aimed_run(witness, entry, target)[0]
                 if flipped:
                     concolic.flips += 1
             if tel is not None:
                 tel.record_concolic(target, stats, assignment is not None, flipped)
             if flipped:
                 return
-
-    def _witness_run(self, data, parent, target):
-        """Execute one solver witness; True when the target branch flipped."""
-        concolic = self.concolic
-        concolic.witness_execs += 1
-        result = self._execute(data)
-        if result.timeout:
-            self._record_hang(data)
-            return False
-        if result.crashed:
-            self._record_crash(data, result)
-            return True  # reaching a trigger is the jackpot case
-        sibling = target.sibling_index
-        hit = sibling is not None and sibling in result.hits
-        self._process_result(data, result, parent.depth + 1)
-        return hit
 
     def _cmplog_stage(self, entry):
         """Harvest comparison operands, then try direct substitutions."""

@@ -129,11 +129,9 @@ def select_targets(queue, branch_index, limit, visits=None, max_visits=4):
 class TaintState:
     """Mutable per-engine taint bookkeeping (snapshot/restore-able).
 
-    The branch index is *not* part of snapshots — it is a pure function of
-    (program, instrumentation) and is rebuilt lazily after restore.  The
-    TaintMap cache IS snapshotted: a restored engine must not re-run taint
-    executions the original run had cached, or the virtual clock would
-    diverge tick-for-tick.
+    The TaintMap cache is snapshotted: a restored engine must not re-run
+    taint executions the original run had cached, or the virtual clock
+    would diverge tick-for-tick.
     """
 
     MAP_CACHE_CAP = 32
@@ -145,7 +143,6 @@ class TaintState:
         "targets_selected",
         "masked_execs",
         "masked_hits",
-        "branch_index",
     )
 
     def __init__(self):
@@ -155,7 +152,6 @@ class TaintState:
         self.targets_selected = 0
         self.masked_execs = 0
         self.masked_hits = 0
-        self.branch_index = None  # lazily built; never snapshotted
 
     def cache_map(self, entry_id, tmap):
         maps = self.maps
@@ -189,5 +185,4 @@ class TaintState:
         self.targets_selected = snap["targets_selected"]
         self.masked_execs = snap["masked_execs"]
         self.masked_hits = snap["masked_hits"]
-        self.branch_index = None
         return self

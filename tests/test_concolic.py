@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.coverage.feedback import EdgeFeedback
+from repro.fuzzer import engine as engine_mod
 from repro.fuzzer.concolic import CONCOLIC_ENV, ConcolicState, concolic_enabled
 from repro.fuzzer.engine import EngineConfig, FuzzEngine
 from repro.lang import compile_source
@@ -129,6 +130,21 @@ def test_escalation_only_fires_on_plateau():
     # campaign has orders of magnitude fewer extract runs than executions.
     engine = _run(MULREAD, use_taint=True, use_concolic=True)
     assert engine.concolic.extract_runs < engine.execs // 10
+
+
+def test_both_stages_share_one_branch_index(monkeypatch):
+    calls = []
+    real = engine_mod.build_branch_index
+
+    def spy(program, instrumentation):
+        calls.append(program)
+        return real(program, instrumentation)
+
+    monkeypatch.setattr(engine_mod, "build_branch_index", spy)
+    engine = _run(MULREAD, use_taint=True, use_concolic=True)
+    assert engine.taint.targets_selected > 0
+    assert engine.concolic.targets_selected > 0
+    assert len(calls) == 1
 
 
 # -- off-switch identity -------------------------------------------------------

@@ -318,12 +318,10 @@ def test_taint_state_snapshot_roundtrip_and_lru():
         state.cache_map(i, TaintMap())
     assert len(state.maps) == TaintState.MAP_CACHE_CAP
     assert 0 not in state.maps  # oldest evicted
-    state.branch_index = {"not": "snapshotted"}
     snap = pickle.loads(pickle.dumps(state.snapshot()))
     restored = TaintState().restore(snap)
     assert restored.taint_runs == 3
     assert restored.visits == {7: 2}
-    assert restored.branch_index is None
     assert set(restored.maps) == set(state.maps)
     assert state.hit_rate() == 0.0
 
