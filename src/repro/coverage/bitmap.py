@@ -36,9 +36,17 @@ def classify_count(count):
     return 128
 
 
+#: classify_count for every count below the top bucket's lower bound.
+_BUCKET_TABLE = tuple(classify_count(count) for count in range(128))
+
+
 def classify_hits(hits):
     """Classify a raw ``hits`` dict into {index: bucket_bit}."""
-    return {idx: classify_count(count) for idx, count in hits.items()}
+    table = _BUCKET_TABLE
+    return {
+        idx: (table[count] if count < 128 else 128) if count > 0 else 0
+        for idx, count in hits.items()
+    }
 
 
 class VirginMap:

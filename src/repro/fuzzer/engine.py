@@ -23,7 +23,7 @@ from repro.fuzzer.cmplog import candidates_from_log
 from repro.fuzzer.concolic import ConcolicState, concolic_enabled
 from repro.fuzzer.corpus import Queue
 from repro.fuzzer.masked import masked_candidates, masked_havoc, sweep_candidates
-from repro.fuzzer.mutators import deterministic_mutations, havoc, splice
+from repro.fuzzer.mutators import deterministic_mutations, havoc, random_bytes, splice
 from repro.fuzzer.schedule import havoc_iterations, performance_score
 from repro.fuzzer.store import content_hash
 from repro.runtime.backend import make_backend
@@ -265,9 +265,7 @@ class FuzzEngine:
         while self.clock.ticks < tick_target:
             if not self.queue.entries:
                 # Every seed crashed or hung; fall back to random inputs.
-                self._run_and_process(
-                    bytes(self.rng.randrange(256) for _ in range(16)), depth=0
-                )
+                self._run_and_process(bytes(random_bytes(self.rng, 16)), depth=0)
                 continue
             if self._queue_index >= len(self.queue.entries):
                 self._queue_index = 0

@@ -18,7 +18,7 @@ Three stages, cheapest-per-bit first:
   positions, for masks too wide to enumerate.
 """
 
-from repro.fuzzer.mutators import ARITH_MAX, INTERESTING_8
+from repro.fuzzer.mutators import ARITH_MAX, INTERESTING_8_U8
 
 _WIDTHS = (1, 2, 4)
 
@@ -35,18 +35,43 @@ def masked_havoc(rng, data, focus, stacking_max=5):
     if not positions:
         return bytes(data)
     buf = bytearray(data)
-    stacking = 1 << rng.randrange(1, max(2, stacking_max))
-    for _ in range(stacking):
-        pos = positions[rng.randrange(len(positions))]
-        choice = rng.randrange(4)
+    # Draws follow the stream contract in repro.fuzzer.mutators.
+    gb = rng.getrandbits
+    n_pos = len(positions)
+    k_pos = n_pos.bit_length()
+    n = max(2, stacking_max) - 1
+    k = n.bit_length()
+    shift = gb(k)
+    while shift >= n:
+        shift = gb(k)
+    for _ in range(2 << shift):
+        i = gb(k_pos)
+        while i >= n_pos:
+            i = gb(k_pos)
+        pos = positions[i]
+        choice = gb(3)
+        while choice >= 4:
+            choice = gb(3)
         if choice == 0:
-            buf[pos] ^= 1 << rng.randrange(8)
+            bit = gb(4)
+            while bit >= 8:
+                bit = gb(4)
+            buf[pos] ^= 1 << bit
         elif choice == 1:
-            buf[pos] = rng.randrange(256)
+            value = gb(9)
+            while value >= 256:
+                value = gb(9)
+            buf[pos] = value
         elif choice == 2:
-            buf[pos] = rng.choice(INTERESTING_8) & 0xFF
+            i = gb(4)
+            while i >= 9:
+                i = gb(4)
+            buf[pos] = INTERESTING_8_U8[i]
         else:
-            delta = rng.randrange(1, ARITH_MAX + 1)
+            delta = gb(6)
+            while delta >= ARITH_MAX:
+                delta = gb(6)
+            delta += 1
             if rng.random() < 0.5:
                 delta = -delta
             buf[pos] = (buf[pos] + delta) & 0xFF
