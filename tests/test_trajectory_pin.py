@@ -1,12 +1,20 @@
-"""Pinned trajectories of plain havoc campaigns.
+"""Pinned trajectories of plain havoc campaigns and of whole-config results.
 
-Each pinned campaign is a 2-virtual-hour ``path``, ``pcguard`` or ``afl``
-campaign (the last runs the legacy havoc repertoire) on nm_new, flvmeta,
-jhead or imginfo, with the taint and concolic stages off.  One digest per
-(subject, config) covers the queue (bytes, found_at, depth), the crash and
-hang buckets, the counters, the timeline and the RNG state.  The
-interpreter and the compiled backend must both reach the pinned digest, and
-so must a traced campaign (telemetry is pure observation).
+Each engine-level pin (``PINNED``) is a 2-virtual-hour single-engine
+campaign on nm_new, flvmeta, jhead or imginfo, with the taint and concolic
+stages off: ``path``, ``pcguard`` and ``afl`` (the legacy havoc
+repertoire) on all four, and ``pathafl``, ``ngram4``, ``block`` and
+``path2gram`` on nm_new and jhead.  One digest per (subject, config) covers
+the queue (bytes, found_at, depth), the crash and hang buckets, the
+counters, the timeline and the RNG state.  The interpreter and the
+compiled backend must both reach the pinned digest, and so must a traced
+campaign (telemetry is pure observation).
+
+Each result-level pin (``PINNED_RESULTS``) is a 2-virtual-hour campaign
+built through :func:`run_config`, so it covers the multi-engine drivers
+(``cull``, ``cull_r``, ``cull_paths`` and ``opp``) and the final edge
+replay.  One digest covers the result's edge set, bugs, crash and hang
+records, execs, ticks, queue size and timeline, under both backends.
 
 The digests pin the mutators' random stream draw for draw: any change to
 which words of the RNG a havoc, splice or fallback draw consumes changes
@@ -19,7 +27,7 @@ import hashlib
 
 import pytest
 
-from repro.experiments.config import FUZZER_CONFIGS, campaign_rng
+from repro.experiments.config import FUZZER_CONFIGS, campaign_rng, run_config
 from repro.fuzzer.clock import hours_to_ticks
 from repro.fuzzer.engine import FuzzEngine
 from repro.subjects import get_subject
@@ -37,11 +45,30 @@ PINNED = {
     ("imginfo", "path"): "59f6fa82716f3532aa8e2ea8",
     ("imginfo", "pcguard"): "9a4a60d9b1122f0d0059511a",
     ("jhead", "afl"): "241c29989b7fd6ff2fe312fe",
+    ("jhead", "block"): "7022f7583dc60864c969c25a",
+    ("jhead", "ngram4"): "ca6d7170b9795d9da6d05fbe",
     ("jhead", "path"): "51f6a46671d608743f82fe62",
+    ("jhead", "path2gram"): "e8abbfc306b6a6efc0c3ac1f",
+    ("jhead", "pathafl"): "9f396341c31cddd7157452f6",
     ("jhead", "pcguard"): "7da2f80899b9208a3e314310",
     ("nm_new", "afl"): "5a5ed6716bd87e87fd8e6363",
+    ("nm_new", "block"): "f23467f45f728caa559a7430",
+    ("nm_new", "ngram4"): "e62f1dd1f073765e8f273926",
     ("nm_new", "path"): "e481b2fed4ec1eb4002ae20d",
+    ("nm_new", "path2gram"): "99791112bce90518052d7307",
+    ("nm_new", "pathafl"): "25c5d170b792e5067c0a0f4b",
     ("nm_new", "pcguard"): "ba82291fc7e3d23f8000c42b",
+}
+
+PINNED_RESULTS = {
+    ("jhead", "cull"): "839ff4817134b57a59b2cef8",
+    ("jhead", "cull_paths"): "dd01ed43e87f269521396fb9",
+    ("jhead", "cull_r"): "4191af2662c340e09ca34240",
+    ("jhead", "opp"): "81ba6039cf388843211cb6d2",
+    ("nm_new", "cull"): "382f7df153fba16456a9d269",
+    ("nm_new", "cull_paths"): "5bcec3dc3abc99d3aa2377b3",
+    ("nm_new", "cull_r"): "16082101533d6fdba1bd5261",
+    ("nm_new", "opp"): "2e29ce80493f434b7f330c8a",
 }
 
 
@@ -91,12 +118,51 @@ def campaign_digest(engine):
     return hashlib.sha256(repr(campaign_key(engine)).encode()).hexdigest()[:24]
 
 
+def run_result(subject_name, config_name):
+    """One fixed-seed campaign through the experiment runner.
+
+    The backend comes from ``REPRO_BACKEND``, the one knob ``run_config``
+    honours for every engine it builds.
+    """
+    subject = get_subject(subject_name)
+    return run_config(subject, config_name, RUN_SEED, hours_to_ticks(VHOURS))
+
+
+def result_key(result):
+    """Everything a result pin compares, as one repr-able tuple."""
+    return (
+        sorted(result.edges),
+        sorted(result.bugs),
+        [
+            (r.hash5, r.bug, r.kind, r.count, r.afl_unique, r.found_at, r.stack)
+            for r in sorted(result.crash_records, key=lambda r: r.hash5)
+        ],
+        [(h.input_hash, h.data, h.count, h.found_at) for h in result.hang_records],
+        (result.execs, result.ticks, result.queue_size),
+        result.timeline,
+    )
+
+
+def result_digest(result):
+    return hashlib.sha256(repr(result_key(result)).encode()).hexdigest()[:24]
+
+
 @pytest.mark.parametrize("backend", ["interp", "compile"])
 @pytest.mark.parametrize("subject_name, config_name", sorted(PINNED))
 def test_plain_campaign_pinned(subject_name, config_name, backend):
     engine = run_campaign(subject_name, config_name, backend)
     digest = campaign_digest(engine)
     assert digest == PINNED[subject_name, config_name], (
+        "new digest for %s/%s (%s): %r" % (subject_name, config_name, backend, digest)
+    )
+
+
+@pytest.mark.parametrize("backend", ["interp", "compile"])
+@pytest.mark.parametrize("subject_name, config_name", sorted(PINNED_RESULTS))
+def test_config_result_pinned(subject_name, config_name, backend, monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    digest = result_digest(run_result(subject_name, config_name))
+    assert digest == PINNED_RESULTS[subject_name, config_name], (
         "new digest for %s/%s (%s): %r" % (subject_name, config_name, backend, digest)
     )
 
@@ -112,4 +178,8 @@ def test_traced_campaign_matches_pin():
 if __name__ == "__main__":
     for subject_name, config_name in sorted(PINNED):
         digest = campaign_digest(run_campaign(subject_name, config_name))
+        print('    ("%s", "%s"): "%s",' % (subject_name, config_name, digest))
+    print()
+    for subject_name, config_name in sorted(PINNED_RESULTS):
+        digest = result_digest(run_result(subject_name, config_name))
         print('    ("%s", "%s"): "%s",' % (subject_name, config_name, digest))
