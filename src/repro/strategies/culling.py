@@ -20,7 +20,7 @@ Culling criteria:
 
 from repro.coverage.feedback import EdgeFeedback
 from repro.fuzzer.engine import FuzzEngine
-from repro.runtime.interpreter import execute
+from repro.runtime.backend import make_backend
 
 # Virtual ticks charged per queue entry examined by a culling pass (replay
 # plus set-cover bookkeeping); mirrors the paper accounting culling costs
@@ -28,16 +28,20 @@ from repro.runtime.interpreter import execute
 CULL_COST_PER_ENTRY = 40
 
 
-def edge_preserving_subset(program, inputs, instr_budget=60_000):
+def edge_preserving_subset(program, inputs, instr_budget=60_000, backend=None):
     """Greedy set cover over an edge-instrumented replay of ``inputs``.
 
     Returns the selected inputs (order preserved).  This is the favored-
-    corpus construction the paper uses instead of ``afl-cmin``.
+    corpus construction the paper uses instead of ``afl-cmin``.  ``backend``
+    picks the replay's executor (None: honour ``REPRO_BACKEND``); the
+    backends are bit-exact, so the subset does not depend on it.
     """
-    instrumentation = EdgeFeedback().instrument(program)
+    execute = make_backend(
+        program, EdgeFeedback().instrument(program), backend=backend
+    ).execute
     traces = []
     for data in inputs:
-        result = execute(program, data, instrumentation, instr_budget=instr_budget)
+        result = execute(data, instr_budget=instr_budget)
         if result.crashed or result.timeout:
             traces.append(frozenset())
             continue
@@ -111,7 +115,9 @@ def run_culling_campaign(
         cull_cost = CULL_COST_PER_ENTRY * len(inputs)
         remaining -= cull_cost
         if criterion == "edges":
-            seeds = edge_preserving_subset(program, inputs, config.exec_instr_budget)
+            seeds = edge_preserving_subset(
+                program, inputs, config.exec_instr_budget, backend=config.backend
+            )
         elif criterion == "paths":
             seeds = path_preserving_subset(engine)
         elif criterion == "random":

@@ -3,13 +3,17 @@
 import pickle
 import random
 
+import pytest
+
+import repro.fuzzer.campaign as campaign
 from repro.coverage.feedback import EdgeFeedback, PathFeedback
+from repro.experiments.bench import grow_inputs
 from repro.fuzzer.campaign import replay_edge_coverage, result_from_engines
 from repro.fuzzer.engine import EngineConfig, FuzzEngine
-from repro.subjects import get_subject
+from repro.subjects import all_subject_names, get_subject
 
 
-def run_engine(subject, feedback, seed, budget=200_000):
+def run_engine(subject, feedback, seed, budget=200_000, backend=None):
     engine = FuzzEngine(
         subject.program,
         feedback,
@@ -18,6 +22,7 @@ def run_engine(subject, feedback, seed, budget=200_000):
         EngineConfig(
             max_input_len=subject.max_input_len,
             exec_instr_budget=subject.exec_instr_budget,
+            backend=backend,
         ),
         subject.tokens,
     )
@@ -38,6 +43,39 @@ def test_replay_independent_of_campaign_feedback():
     engine = run_engine(subject, PathFeedback(), 0)
     edges = replay_edge_coverage(subject.program, engine.corpus_inputs())
     assert edges  # path campaign still yields an edge-coverage measurement
+
+
+@pytest.mark.parametrize("name", all_subject_names())
+def test_replay_identical_across_backends(name):
+    """The final edge replay measures the same edges on either backend."""
+    subject = get_subject(name)
+    witnesses = [bug.witness for bug in subject.bugs]
+    for inputs in (subject.seeds, grow_inputs(subject), witnesses):
+        compiled = replay_edge_coverage(subject.program, inputs, backend="compile")
+        assert compiled == replay_edge_coverage(
+            subject.program, inputs, backend="interp"
+        )
+        assert compiled or not inputs
+
+
+@pytest.mark.parametrize("backend", ["interp", "compile"])
+def test_result_replays_on_campaign_backend(backend, monkeypatch):
+    subject = get_subject("flvmeta")
+    engine = run_engine(subject, PathFeedback(), 0, budget=50_000, backend=backend)
+    expected = replay_edge_coverage(
+        subject.program, engine.corpus_inputs(), backend="interp"
+    )
+    real_make_backend = campaign.make_backend
+    used = []
+
+    def recording_make_backend(program, instrumentation=None, backend=None, **kw):
+        used.append(backend)
+        return real_make_backend(program, instrumentation, backend=backend, **kw)
+
+    monkeypatch.setattr(campaign, "make_backend", recording_make_backend)
+    result = result_from_engines(subject, "path", 0, [engine], engine)
+    assert used == [backend]
+    assert result.edges == expected
 
 
 def test_result_from_single_engine():
