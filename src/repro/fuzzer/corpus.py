@@ -86,7 +86,15 @@ class QueueEntry:
 class Queue:
     """The fuzzer's corpus with AFL-style favored-entry culling."""
 
-    __slots__ = ("entries", "top_rated", "_dirty", "pending_favored", "_next_id")
+    __slots__ = (
+        "entries",
+        "top_rated",
+        "_dirty",
+        "pending_favored",
+        "_next_id",
+        "total_cost",
+        "total_trace",
+    )
 
     def __init__(self):
         self.entries = []
@@ -94,6 +102,10 @@ class Queue:
         self._dirty = False
         self.pending_favored = 0
         self._next_id = 0
+        # Running sums of exec_cost and len(trace) over entries (integers,
+        # so the scheduler's averages equal a full recount exactly).
+        self.total_cost = 0
+        self.total_trace = 0
 
     def __len__(self):
         return len(self.entries)
@@ -107,8 +119,10 @@ class Queue:
         return entry
 
     def add(self, entry):
-        """Append ``entry`` and update per-index champions."""
+        """Append ``entry``, update per-index champions and the totals."""
         self.entries.append(entry)
+        self.total_cost += entry.exec_cost
+        self.total_trace += len(entry.trace)
         key = entry.score_key()
         top = self.top_rated
         for idx in entry.trace:
@@ -175,13 +189,16 @@ class Queue:
     def restore(self, snap):
         """Rebuild the queue from :meth:`snapshot` output.
 
-        ``top_rated`` is reconstructed by replaying :meth:`add` in append
-        order — identical comparisons, identical champions — then the cull
-        bookkeeping is restored verbatim so a resumed engine culls exactly
-        when the uninterrupted one would have.
+        ``top_rated`` and the totals are reconstructed by replaying
+        :meth:`add` in append order — identical comparisons, identical
+        champions, identical sums — then the cull bookkeeping is restored
+        verbatim so a resumed engine culls exactly when the uninterrupted
+        one would have.
         """
         self.entries = []
         self.top_rated = {}
+        self.total_cost = 0
+        self.total_trace = 0
         for entry in snap["entries"]:
             self.add(entry.clone())
         self._next_id = snap["next_id"]

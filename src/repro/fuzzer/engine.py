@@ -698,12 +698,11 @@ class FuzzEngine:
             )
 
     def _averages(self):
-        entries = self.queue.entries
-        if not entries:
+        queue = self.queue
+        count = len(queue.entries)
+        if not count:
             return 0, 0
-        total_cost = sum(e.exec_cost for e in entries)
-        total_trace = sum(len(e.trace) for e in entries)
-        return total_cost / len(entries), total_trace / len(entries)
+        return queue.total_cost / count, queue.total_trace / count
 
     # -- execution plumbing ----------------------------------------------------
 

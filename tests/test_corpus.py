@@ -124,3 +124,26 @@ def test_snapshot_is_deep_and_isolated_from_later_mutation():
     twin = restored.entries[0]
     assert twin.was_fuzzed is False  # pre-mutation state preserved
     assert twin.favored is True
+
+
+def recount(queue):
+    return (
+        sum(e.exec_cost for e in queue.entries),
+        sum(len(e.trace) for e in queue.entries),
+    )
+
+
+def test_running_totals_equal_a_fresh_recount():
+    queue = Queue()
+    assert (queue.total_cost, queue.total_trace) == (0, 0)
+    for i in range(25):
+        entry(queue, bytes([i]) * (i + 1), 3 + 7 * i, range(i % 6, i % 6 + i % 4 + 1))
+        assert (queue.total_cost, queue.total_trace) == recount(queue)
+    snap = queue.snapshot()
+    entry(queue, b"late", 999, [40, 41])
+    restored = Queue().restore(snap)
+    assert (restored.total_cost, restored.total_trace) == recount(restored)
+    assert len(restored.entries) == 25
+    # Restoring into a used queue starts the totals over.
+    queue.restore(snap)
+    assert (queue.total_cost, queue.total_trace) == recount(restored)
