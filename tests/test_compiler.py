@@ -158,6 +158,24 @@ def test_prune_plan_preserves_coverage_map():
         assert got.probe_cost <= ref.probe_cost
 
 
+@pytest.mark.parametrize("name", FEEDBACKS + ("ngram2",))
+def test_probe_prune_applies_only_to_pure_hit_feedbacks(name):
+    """Path-state feedbacks get no prune plan, so probe_prune=True compiles
+    the very program probe_prune=False does (cache key ``noprune``)."""
+    program = get_subject("jhead").program
+    instrumentation = feedback_by_name(name).instrument(program)
+    pruned = make_backend(
+        program, instrumentation, backend="compile", probe_prune=True
+    )
+    if name in ("edge", "block"):
+        assert pruned.prune_plan is not None
+        return
+    assert pruned.prune_plan is None
+    plain = make_backend(program, instrumentation, backend="compile")
+    assert pruned.execute.__self__ is plain.execute.__self__
+    assert pruned.execute.__self__._key.endswith("-noprune")
+
+
 def test_resolve_backend_env(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert resolve_backend() == "interp"
