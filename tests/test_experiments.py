@@ -98,3 +98,15 @@ def test_opp_budget_split():
     result = run_config(subject, "opp", 0, budget_ticks=200_000)
     # ticks counted for opp cover only the path phase (~half the budget)
     assert result.ticks <= 140_000
+
+
+def test_bench_row_reports_cold_codegen_outside_the_gate():
+    from repro.experiments.bench import baseline_from_report, bench_subject, format_row
+
+    row = bench_subject("flvmeta", repeats=1, min_seconds=0.01)
+    assert row["codegen_s"] > 0
+    assert "codegen %6.1f ms" % (row["codegen_s"] * 1e3) in format_row(row)
+    report = {"feedback": "path", "subjects": [row], "geomean_speedup": 1.0}
+    assert baseline_from_report(report)["speedups"] == {
+        "flvmeta": round(row["speedup"], 3)
+    }
