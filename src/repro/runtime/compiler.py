@@ -43,8 +43,8 @@ aliases it binds, and each function's liveness is solved once per
 :class:`CompiledProgram`, shared by the plain, cmplog, fast and exact
 variants and by every inlined copy of the function.  For the deep
 subjects (sqlite3, cflow, lame, infotocap) generating the plain and cmplog
-fast variants takes 6–16 ms per subject, and CPython's ``compile()`` of
-that text 11–30 ms more (2-core host, Python 3.11); the text itself is
+fast variants takes 6–11 ms per subject, and CPython's ``compile()`` of
+that text 9–23 ms more (2-core host, Python 3.11).  The text itself is
 pinned byte for byte by ``tests/test_codegen_pin.py``.
 
 Compiled programs are memoized in-process keyed on the package source
