@@ -25,6 +25,9 @@ Methodology notes (kept honest on purpose):
   cmplog fast variants, timed through :func:`generate_sources` directly so
   neither the in-process compile memo nor ``REPRO_COMPILE_CACHE`` can
   serve it.  It is reported, not gated.
+- ``front_s`` is the cold MiniC front end before that: the best-of-repeats
+  :func:`compile_source` of the subject's text (lex, parse, checks,
+  lowering, optimizer and both verifier passes).  Reported, not gated.
 """
 
 import json
@@ -34,6 +37,7 @@ from time import perf_counter as _perf_counter
 
 from repro.coverage.feedback import feedback_by_name
 from repro.coverage.prune import build_prune_plan
+from repro.lang import compile_source
 from repro.runtime.backend import make_backend
 from repro.runtime.compiler import compile_program, generate_sources
 from repro.subjects import SUITE_NAMES, get_subject
@@ -92,6 +96,17 @@ def cold_codegen_seconds(program, instrumentation, prune, repeats=DEFAULT_REPEAT
     return best
 
 
+def cold_front_seconds(subject, repeats=DEFAULT_REPEATS):
+    """Best-of-``repeats`` seconds to compile ``subject``'s MiniC text."""
+    best = None
+    for _ in range(repeats):
+        start = _perf_counter()
+        compile_source(subject.source, subject.name)
+        elapsed = _perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best
+
+
 def bench_subject(
     name,
     feedback=DEFAULT_FEEDBACK,
@@ -132,6 +147,7 @@ def bench_subject(
             "ticks_per_sec": compiled_ticks,
         },
         "speedup": compiled_execs / interp_execs if interp_execs else 0.0,
+        "front_s": cold_front_seconds(subject, repeats),
         "codegen_s": cold_codegen_seconds(program, instrumentation, prune, repeats),
     }
 
@@ -228,7 +244,7 @@ def check_against_baseline(report, baseline, gate_pct=DEFAULT_GATE_PCT):
 def format_row(row):
     return (
         "%-14s interp %9.0f/s %12.0f t/s   compiled %9.0f/s %12.0f t/s   %5.2fx"
-        "   codegen %6.1f ms"
+        "   front %5.1f ms   codegen %6.1f ms"
         % (
             row["subject"],
             row["interp"]["execs_per_sec"],
@@ -236,6 +252,7 @@ def format_row(row):
             row["compiled"]["execs_per_sec"],
             row["compiled"]["ticks_per_sec"],
             row["speedup"],
+            row["front_s"] * 1e3,
             row["codegen_s"] * 1e3,
         )
     )

@@ -110,3 +110,18 @@ def test_bench_row_reports_cold_codegen_outside_the_gate():
     assert baseline_from_report(report)["speedups"] == {
         "flvmeta": round(row["speedup"], 3)
     }
+
+
+def test_bench_row_reports_cold_front_end_outside_the_gate():
+    from repro.experiments.bench import baseline_from_report, bench_subject, format_row
+
+    row = bench_subject("jhead", repeats=1, min_seconds=0.01)
+    assert row["front_s"] > 0
+    line = format_row(row)
+    front = "front %5.1f ms" % (row["front_s"] * 1e3)
+    assert front in line
+    assert line.index(front) < line.index("codegen")
+    report = {"feedback": "path", "subjects": [row], "geomean_speedup": 1.0}
+    assert baseline_from_report(report)["speedups"] == {
+        "jhead": round(row["speedup"], 3)
+    }
