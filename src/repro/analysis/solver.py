@@ -29,7 +29,6 @@ from repro.analysis.symbolic import (
     _BIN as _SYM_BIN,
     SymExpr,
     eval_expr,
-    expr_support,
     interval_expr,
     match_byte_fold,
 )
@@ -125,7 +124,7 @@ def solve_flip(
     """
     stats = SolveStats()
     want_true = not constraint.taken_true
-    support = sorted(expr_support(constraint.expr))
+    support = sorted(constraint.support())
     stats.support_bytes = len(support)
     if not support or len(support) > max_bytes:
         stats.gave_up = True

@@ -269,7 +269,7 @@ class Constraint:
     under which ``expr``'s truthiness is ``not taken_true``.
     """
 
-    __slots__ = ("index", "site", "taken_dst", "taken_true", "expr")
+    __slots__ = ("index", "site", "taken_dst", "taken_true", "expr", "_support")
 
     def __init__(self, index, site, taken_dst, taken_true, expr):
         self.index = index
@@ -277,9 +277,13 @@ class Constraint:
         self.taken_dst = taken_dst
         self.taken_true = taken_true
         self.expr = expr
+        self._support = None
 
     def support(self):
-        return expr_support(self.expr)
+        """The input-byte offsets ``expr`` reads, walked once per constraint."""
+        if self._support is None:
+            self._support = frozenset(expr_support(self.expr))
+        return self._support
 
     def holds(self, byte_at):
         """Does the recorded direction hold under these bytes? None=trap."""

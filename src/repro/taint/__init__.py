@@ -3,11 +3,14 @@
 The taint subsystem is the layer between execution and search that the
 blind-havoc loop lacks: it runs a test case under a *shadow* interpreter
 (:mod:`repro.taint.track`) that propagates, for every runtime value, the set
-of input byte offsets that influenced it.  Three artifacts come out:
+of input byte offsets that influenced it, as a bitmask label
+(:mod:`repro.taint.labels`: ``None`` when clean, else an ``int`` whose bit
+*i* is input byte *i*, joined with ``|``).  Three artifacts come out:
 
 - a :class:`~repro.taint.map.TaintMap` recording, per comparison site, which
   input bytes flow into each operand (plus a control-taint summary that
-  makes the masks *sound* under implicit flows);
+  makes the masks *sound* under implicit flows); it ORs the masks into
+  ints while recording and converts them to offset sets only when read;
 - rare-branch targets (:mod:`repro.taint.targets`): branch sites ranked by
   how few queue entries cover them, each paired with its byte mask;
 - a masked-mutation stage in the fuzz engine (:mod:`repro.fuzzer.masked`)
@@ -24,7 +27,6 @@ transparently falls back to it for taint runs (see
 
 import os
 
-from repro.taint.labels import LabelPool
 from repro.taint.map import TaintMap
 from repro.taint.targets import TaintState, TaintTarget, build_branch_index, select_targets
 from repro.taint.track import TaintExec, taint_execute
@@ -42,7 +44,6 @@ def taint_enabled(flag=None):
 
 
 __all__ = [
-    "LabelPool",
     "TaintMap",
     "TaintExec",
     "TaintState",

@@ -11,12 +11,15 @@ this module adds only the propagation rules, which feed a
 Propagation rules (DESIGN §12):
 
 - input bytes are the taint sources: byte ``i`` of the test case gets the
-  singleton label ``{i}``;
-- binary/unary operators join their operands' labels; LOAD joins the cell's
-  label with the index's (the loaded value depends on *which* cell);
+  label ``1 << i`` (:mod:`repro.taint.labels`);
+- binary/unary operators join their operands' labels with ``|``; LOAD
+  joins the cell's label with the index's (the loaded value depends on
+  *which* cell);
 - STORE writes the source label into the shadow cell; ``copy``/``fill``
   move labels like the data they shadow; ``read16``/``read32`` join the
-  window's cell labels;
+  window's cell labels; ``memcmp`` records both windows' labels as one cmp
+  site, sampling the byte windows only while the site keeps samples and
+  never from a window that holds an array ref;
 - **control taint** is a monotone per-execution accumulator folding in every
   label the loop reports as steering control: branch conditions, array
   indices and bounds (including tainted alloc sizes), divisors, shift
@@ -28,7 +31,6 @@ Propagation rules (DESIGN §12):
 
 from repro.runtime.interpreter import DEFAULT_CALL_DEPTH, DEFAULT_INSTR_BUDGET
 from repro.runtime.shadow import ShadowExec
-from repro.taint.labels import LabelPool
 from repro.taint.map import TaintMap
 
 
@@ -68,52 +70,50 @@ class TaintExec(ShadowExec):
         super().__init__(
             program, instrumentation, instr_budget, call_depth_limit, cmplog
         )
-        self._pool = LabelPool()
         self._tmap = TaintMap(pair_cap=pair_cap)
         self._on_cmp = self._tmap.record_cmp
         self._on_branch = self._tmap.record_branch
-        self._ctl = None  # monotone control-taint accumulator
+        self._ctl = 0  # monotone control-taint accumulator (a label's bits)
 
     def _input_shadow(self, offset):
-        return self._pool.single(offset)
+        return 1 << offset
 
     def _finish(self, input_len):
         self._tmap.finalize(self._ctl, input_len)
         return self._tmap
 
     def _join_bin(self, binop, sa, sb, a, b):
-        return self._pool.union(sa, sb)
+        return (sa or 0) | (sb or 0)
 
     def _join_un(self, unop, sa):
         return sa
 
     def _steer(self, shadow):
-        self._ctl = self._pool.union(self._ctl, shadow)
+        self._ctl |= shadow
 
     def _load_indexed(self, cell, sarr, sidx):
-        union = self._pool.union
-        return union(cell, union(sidx, sarr))
+        return (cell or 0) | (sarr or 0) | (sidx or 0)
 
     # -- builtins --------------------------------------------------------------
 
     def _window_label(self, ref, off, n, ref_label):
         """Join of the shadow labels of ``ref[off:off+n]`` plus the ref's own."""
-        union = self._pool.union
-        out = union(ref_label, self._sizes.get(ref.array_id))
+        out = (ref_label or 0) | (self._sizes.get(ref.array_id) or 0)
         cells = self._cells.get(ref.array_id)
         if cells is not None:
             for label in cells[off : off + n]:
-                out = union(out, label)
-        return out
+                if label is not None:
+                    out |= label
+        return out or None
 
     def _shadow_len(self, value, vals, labels, fname, line):
-        return self._pool.union(labels[0], self._sizes.get(vals[0].array_id))
+        return (labels[0] or 0) | (self._sizes.get(vals[0].array_id) or 0) or None
 
     def _shadow_abs(self, value, vals, labels, fname, line):
         return labels[0]
 
     def _shadow_min(self, value, vals, labels, fname, line):
-        return self._pool.union(labels[0], labels[1])
+        return (labels[0] or 0) | (labels[1] or 0) or None
 
     _shadow_max = _shadow_min
 
@@ -121,10 +121,21 @@ class TaintExec(ShadowExec):
         a, aoff, b, boff, n = vals
         la = self._window_label(a, aoff, n, labels[0])
         lb = self._window_label(b, boff, n, labels[2])
-        left = bytes(v & 0xFF for v in self._heap.storage(a)[aoff : aoff + n])
-        right = bytes(v & 0xFF for v in self._heap.storage(b)[boff : boff + n])
-        self._tmap.record_cmp((fname, line, "memcmp"), la, lb, left, right)
-        return self._pool.union(la, lb)
+        site = (fname, line, "memcmp")
+        left = right = None
+        if self._tmap.wants_pair(site):
+            left = _byte_window(self._heap.storage(a), aoff, n)
+            right = _byte_window(self._heap.storage(b), boff, n)
+        self._tmap.record_cmp(site, la, lb, left, right)
+        return (la or 0) | (lb or 0) or None
 
     def _read_shadow(self, vals, labels, width, big_endian):
         return self._window_label(vals[0], vals[1], width, labels[0])
+
+
+def _byte_window(storage, off, n):
+    """Low bytes of ``storage[off:off+n]``; None when a cell holds an array ref."""
+    try:
+        return bytes([v & 0xFF for v in storage[off : off + n]])
+    except TypeError:
+        return None

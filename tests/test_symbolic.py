@@ -13,10 +13,13 @@ The load-bearing properties:
   flipped branch direction the solver predicted.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import solver, symbolic
 from repro.analysis.solver import SolveStats, apply_witness, solve_flip
 from repro.analysis.symbolic import (
     Constraint,
@@ -29,6 +32,7 @@ from repro.analysis.symbolic import (
     match_byte_fold,
 )
 from repro.coverage.feedback import EdgeFeedback
+from repro.experiments.bench import grow_inputs
 from repro.lang import compile_source
 from repro.runtime.interpreter import execute
 from repro.subjects import SUITE_NAMES, get_subject
@@ -266,6 +270,35 @@ def test_solver_stats_cost_is_deterministic():
     assert (stats_a.nodes, stats_a.evals) == (stats_b.nodes, stats_b.evals)
     assert stats_a.clock_cost() == stats_b.clock_cost()
     assert isinstance(stats_a, SolveStats)
+
+
+def test_solver_walks_each_constraint_support_once(monkeypatch):
+    # solve_flip reads the support of its target and of every prefix
+    # constraint; over many solves on one long path condition each
+    # constraint's expression must be walked at most once.
+    subject = get_subject("jq")
+    data = grow_inputs(subject)[0]
+    _, condition = extract_path_condition(
+        subject.program,
+        data,
+        instr_budget=subject.exec_instr_budget,
+        call_depth_limit=subject.call_depth_limit,
+    )
+    assert len(condition) > 100
+    walks = Counter()
+    real = symbolic.expr_support
+
+    def spy(expr):
+        walks[id(expr)] += 1
+        return real(expr)
+
+    monkeypatch.setattr(symbolic, "expr_support", spy)
+    monkeypatch.setattr(solver, "expr_support", spy, raising=False)
+    for constraint in condition.constraints[::10]:
+        solve_flip(constraint, condition.prefix(constraint.index), data)
+    owners = Counter(id(c.expr) for c in condition)
+    assert walks
+    assert all(count <= owners[key] for key, count in walks.items())
 
 
 # -- witness soundness (the acceptance property) -------------------------------

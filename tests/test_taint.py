@@ -25,7 +25,6 @@ from repro.runtime.backend import make_backend
 from repro.runtime.interpreter import execute
 from repro.subjects import all_subject_names, get_subject
 from repro.taint import (
-    LabelPool,
     TaintMap,
     TaintState,
     build_branch_index,
@@ -33,6 +32,7 @@ from repro.taint import (
     taint_enabled,
     taint_execute,
 )
+from repro.taint.labels import mask_of, offsets
 
 TARGET = """
 fn check(x) {
@@ -143,6 +143,52 @@ def test_taint_map_records_expected_masks():
     assert 6 not in tmap.control
 
 
+MEMCMP_REFS = """
+fn main(input) {
+    var a = alloc(2);
+    var b = alloc(2);
+    a[0] = b;
+    if (memcmp(a, 0, b, 0, 2) == 0) { return 1; }
+    return 0;
+}
+"""
+
+MEMCMP_REFS_TAINTED = """
+fn main(input) {
+    var a = alloc(2);
+    var b = alloc(2);
+    a[0] = b;
+    if (len(input) > 0) { b[1] = input[0]; }
+    if (memcmp(a, 0, b, 0, 2) == 0) { return 1; }
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "source, data, mask_b",
+    [
+        (MEMCMP_REFS, b"", set()),
+        (MEMCMP_REFS, b"\x01\x02", set()),
+        (MEMCMP_REFS_TAINTED, b"", set()),
+        (MEMCMP_REFS_TAINTED, b"\x01\x02", {0}),
+    ],
+    ids=["clean-empty", "clean-input", "tainted-empty", "tainted-input"],
+)
+def test_memcmp_over_array_refs_matches_plain_run(source, data, mask_b):
+    # A window holding an array ref cannot be sampled as bytes: the taint
+    # run must still return what the plain run returns, keep the site's
+    # masks and take no operand pair from it.
+    program = compile_source(source)
+    instr = EdgeFeedback().instrument(program)
+    ref = execute(program, data, instr)
+    got, tmap = taint_execute(program, data, instr)
+    assert _result_key(got) == _result_key(ref)
+    [rec] = [r for s, r in tmap.cmp_sites.items() if s[2] == "memcmp"]
+    assert rec.hits == 1 and rec.pairs == []
+    assert (rec.mask_a, rec.mask_b) == (set(), mask_b)
+
+
 def test_backend_taint_execute_falls_back_under_compile():
     program = compile_source(TARGET)
     instr = EdgeFeedback().instrument(program)
@@ -166,26 +212,23 @@ def test_backend_taint_execute_falls_back_under_compile():
 # -- label lattice ------------------------------------------------------------
 
 
-def test_label_pool_interns_and_unions():
-    pool = LabelPool()
-    assert pool.intern(()) is None
-    a = pool.intern((1, 2))
-    assert pool.intern((2, 1)) is a
-    s = pool.single(7)
-    assert pool.single(7) is s
-    assert pool.union(None, a) is a
-    assert pool.union(a, None) is a
-    assert pool.union(a, a) is a
-    # Subset shortcut: {1,2} u {1,2,3} is the superset object.
-    b = pool.intern((1, 2, 3))
-    assert pool.union(a, b) is b
-    assert pool.union(b, a) is b
-    c = pool.union(a, pool.single(9))
-    assert c == frozenset({1, 2, 9})
-    # Memoized: same object both times.
-    assert pool.union(a, pool.single(9)) is c
-    assert pool.union_all([None, a, s]) == frozenset({1, 2, 7})
-    assert pool.union_all([]) is None
+def test_label_masks_round_trip():
+    # Clean is None both ways.
+    assert mask_of(()) is None
+    assert offsets(None) == ()
+    # Offset 0 is bit 0.
+    assert mask_of([0]) == 1
+    assert offsets(1) == (0,)
+    # Offsets past 64 are big-int bits, ascending whatever the input order.
+    wide = [200, 0, 64, 63, 65, 7]
+    mask = mask_of(wide)
+    assert mask == sum(1 << off for off in wide)
+    assert offsets(mask) == (0, 7, 63, 64, 65, 200)
+    # Round trip both ways; a join is a bitwise or.
+    for offs in ((0,), (1, 2), tuple(range(130)), (5, 4096)):
+        assert offsets(mask_of(offs)) == offs
+        assert mask_of(offsets(mask_of(offs))) == mask_of(offs)
+    assert offsets(mask_of((1, 2)) | mask_of((2, 9))) == (1, 2, 9)
 
 
 # -- TaintMap queries ---------------------------------------------------------
@@ -195,7 +238,7 @@ def test_taint_map_pair_cap_and_comparable_filter():
     tmap = TaintMap(pair_cap=2)
     site = ("f", 1, 18)
     for i in range(5):
-        tmap.record_cmp(site, frozenset({i}), None, i, 100)
+        tmap.record_cmp(site, mask_of({i}), None, i, 100)
     rec = tmap.cmp_sites[site]
     assert rec.hits == 5
     assert rec.pairs == [(0, 100), (1, 100)]  # capped
@@ -207,15 +250,15 @@ def test_taint_map_pair_cap_and_comparable_filter():
 
 def test_target_masks_focus_and_frozen():
     tmap = TaintMap()
-    tmap.record_branch(("main", 1), 2, frozenset({0, 1}))  # guard on the way in
-    tmap.record_branch(("main", 3), 4, frozenset({5}))  # the target
-    tmap.record_branch(("main", 6), 7, frozenset({9}))  # after the target
-    tmap.finalize(frozenset({0, 1, 5, 9}), 16)
+    tmap.record_branch(("main", 1), 2, mask_of({0, 1}))  # guard on the way in
+    tmap.record_branch(("main", 3), 4, mask_of({5}))  # the target
+    tmap.record_branch(("main", 6), 7, mask_of({9}))  # after the target
+    tmap.finalize(mask_of({0, 1, 5, 9}), 16)
     focus, frozen = tmap.target_masks(("main", 3))
     assert focus == {5}
     assert frozen == {0, 1}  # later branches are not frozen
     # Unknown site falls back to all cmp bytes.
-    tmap.record_cmp(("main", 9, 18), frozenset({2}), frozenset({3}), 1, 2)
+    tmap.record_cmp(("main", 9, 18), mask_of({2}), mask_of({3}), 1, 2)
     focus, frozen = tmap.target_masks(("nope", 0))
     assert focus == {2, 3}
     # Length clamping.
@@ -226,8 +269,8 @@ def test_target_masks_focus_and_frozen():
 def test_sound_mask_includes_control():
     tmap = TaintMap()
     site = ("f", 1, 18)
-    tmap.record_cmp(site, frozenset({2}), None, 1, 2)
-    tmap.finalize(frozenset({0}), 8)
+    tmap.record_cmp(site, mask_of({2}), None, 1, 2)
+    tmap.finalize(mask_of({0}), 8)
     assert tmap.sound_mask(site) == {0, 2}
     assert tmap.sound_mask(("unknown", 0, 18)) == {0}
 
@@ -357,7 +400,7 @@ def test_masked_havoc_touches_only_focus():
 def test_masked_candidates_patch_operand_into_focus_run():
     tmap = TaintMap()
     site = ("main", 4, 18)
-    tmap.record_cmp(site, frozenset({0, 1}), None, 0x1111, 0x4142)
+    tmap.record_cmp(site, mask_of({0, 1}), None, 0x1111, 0x4142)
     data = b"\x00\x00rest"
     cands = masked_candidates(data, tmap, {0, 1})
     assert b"AB" + data[2:] in cands  # big-endian 0x4142 into bytes 0..1
@@ -369,7 +412,7 @@ def test_masked_candidates_patch_operand_into_focus_run():
 
 def test_masked_candidates_bytes_operand():
     tmap = TaintMap()
-    tmap.record_cmp(("m", 1, "memcmp"), frozenset({0, 1, 2}), None, b"xxx", b"GIF")
+    tmap.record_cmp(("m", 1, "memcmp"), mask_of({0, 1, 2}), None, b"xxx", b"GIF")
     cands = masked_candidates(b"xxxtail", tmap, {0, 1, 2})
     assert b"GIFtail" in cands
 
