@@ -1,22 +1,23 @@
 """Campaign observability: per-worker throughput, queue growth, sync events.
 
 Both parallel modes (matrix fan-out and main/secondary instance campaigns)
-report their progress through the structures here.  Events are kept in
-memory (tests and callers inspect them) *and* published as typed events on
-the :mod:`repro.telemetry` bus, whose default ``LogSink`` mirrors them to
-the ``repro.fuzzer.parallel`` logger with the same line formats as before —
-enable ``logging.basicConfig(level=logging.INFO)`` or the CLI's global
+report their progress through the two recorders here.  Each ``record_*``
+call builds one typed :mod:`repro.telemetry` bus event, keeps that event in
+memory (tests and callers inspect it, and the accessors aggregate it) and
+publishes the same object on the bus — there is no second record type.  The
+bus's default ``LogSink`` mirrors the events to the ``repro.fuzzer.parallel``
+logger with the same line formats as before — enable
+``logging.basicConfig(level=logging.INFO)`` or the CLI's global
 ``--verbose`` flag to watch a campaign live, or attach a JSONL sink
 (``fuzz --trace``) to persist them.
 
 Wall-clock seconds here are real (``time.monotonic``); "virtual" rates are
-executions per virtual hour, the deterministic clock's native unit.
+executions per virtual hour, the deterministic clock's native unit (see
+:meth:`~repro.telemetry.bus.WorkerProgressEvent.execs_per_vhour`).
 """
 
-import logging
 import time
 
-from repro.fuzzer.clock import TICKS_PER_HOUR
 from repro.telemetry.bus import (
     CellEvent,
     CellRetryEvent,
@@ -27,99 +28,14 @@ from repro.telemetry.bus import (
     get_bus,
 )
 
-logger = logging.getLogger("repro.fuzzer.parallel")
-
-
-class WorkerSample:
-    """One per-worker progress snapshot taken at a sync barrier."""
-
-    __slots__ = (
-        "worker",
-        "tick",
-        "execs",
-        "queue_size",
-        "crashes",
-        "hangs",
-        "wall",
-        "coverage",
-    )
-
-    def __init__(
-        self, worker, tick, execs, queue_size, crashes, hangs, wall, coverage=0
-    ):
-        self.worker = worker
-        self.tick = tick
-        self.execs = execs
-        self.queue_size = queue_size
-        self.crashes = crashes
-        self.hangs = hangs
-        self.wall = wall
-        self.coverage = coverage
-
-    def execs_per_vhour(self):
-        """Executions per virtual hour so far (0 before the first tick)."""
-        if self.tick <= 0:
-            return 0.0
-        return self.execs / (self.tick / TICKS_PER_HOUR)
-
-    def execs_per_sec(self):
-        """Executions per wall-clock second so far (0 before any wall time)."""
-        if self.wall <= 0:
-            return 0.0
-        return self.execs / self.wall
-
-    def __repr__(self):
-        return "WorkerSample(w%d @%d: execs=%d, queue=%d)" % (
-            self.worker,
-            self.tick,
-            self.execs,
-            self.queue_size,
-        )
-
-
-class SyncEvent:
-    """One corpus-sync round: what was offered, what survived the merge."""
-
-    __slots__ = ("tick", "offered", "accepted", "imported_per_worker", "wall")
-
-    def __init__(self, tick, offered, accepted, imported_per_worker, wall):
-        self.tick = tick
-        self.offered = offered
-        self.accepted = accepted
-        self.imported_per_worker = imported_per_worker
-        self.wall = wall
-
-    def __repr__(self):
-        return "SyncEvent(@%d: offered=%d, accepted=%d)" % (
-            self.tick,
-            self.offered,
-            self.accepted,
-        )
-
-
-class RestartEvent:
-    """One supervised worker restart (death/stall -> backoff -> respawn)."""
-
-    __slots__ = ("worker", "attempt", "reason", "delay", "wall")
-
-    def __init__(self, worker, attempt, reason, delay, wall):
-        self.worker = worker
-        self.attempt = attempt  # 1-based restart count for this worker
-        self.reason = reason
-        self.delay = delay
-        self.wall = wall
-
-    def __repr__(self):
-        return "RestartEvent(w%d #%d: %s)" % (self.worker, self.attempt, self.reason)
-
 
 class CampaignStats:
     """Progress log of one instance-parallel campaign.
 
-    Every ``record_*`` call keeps its legacy in-memory record *and*
-    publishes the corresponding typed event on ``bus`` (the process-global
-    telemetry bus by default, whose LogSink preserves the old logger
-    mirroring line for line).
+    ``samples``, ``sync_events``, ``restarts`` and ``degraded_workers`` hold
+    the :class:`WorkerProgressEvent`, :class:`SyncRoundEvent`,
+    :class:`WorkerRestartEvent` and :class:`WorkerDroppedEvent` records this
+    log published on ``bus`` (the process-global telemetry bus by default).
     """
 
     def __init__(self, label="", bus=None):
@@ -128,21 +44,21 @@ class CampaignStats:
         self.samples = []
         self.sync_events = []
         self.restarts = []
-        self.degraded_workers = []  # (worker, reason) of dropped workers
-        self.degraded_details = []  # {worker, reason, cause, detail} dicts
+        self.degraded_workers = []
         self._start = time.monotonic()
 
     def elapsed(self):
         return time.monotonic() - self._start
 
+    def _keep(self, records, event):
+        records.append(event)
+        return self.bus.publish(event)
+
     def record_worker(
         self, worker, tick, execs, queue_size, crashes, hangs=0, coverage=0
     ):
-        sample = WorkerSample(
-            worker, tick, execs, queue_size, crashes, hangs, self.elapsed(), coverage
-        )
-        self.samples.append(sample)
-        self.bus.publish(
+        return self._keep(
+            self.samples,
             WorkerProgressEvent(
                 self.label,
                 worker,
@@ -151,54 +67,36 @@ class CampaignStats:
                 queue_size,
                 crashes,
                 hangs,
-                coverage=coverage,
-                elapsed=sample.wall,
-            )
+                coverage,
+                self.elapsed(),
+            ),
         )
-        return sample
 
     def record_sync(self, tick, offered, accepted, imported_per_worker=()):
-        event = SyncEvent(
-            tick, offered, accepted, tuple(imported_per_worker), self.elapsed()
-        )
-        self.sync_events.append(event)
-        self.bus.publish(
+        return self._keep(
+            self.sync_events,
             SyncRoundEvent(
-                self.label,
-                tick,
-                offered,
-                accepted,
-                imported=event.imported_per_worker,
-                elapsed=event.wall,
-            )
+                self.label, tick, offered, accepted, imported_per_worker, self.elapsed()
+            ),
         )
-        return event
 
     def record_restart(self, worker, attempt, reason, delay):
-        event = RestartEvent(worker, attempt, reason, delay, self.elapsed())
-        self.restarts.append(event)
-        self.bus.publish(
+        return self._keep(
+            self.restarts,
             WorkerRestartEvent(
-                self.label, worker, attempt, reason, delay, elapsed=event.wall
-            )
+                self.label, worker, attempt, reason, delay, self.elapsed()
+            ),
         )
-        return event
 
     def record_degraded(self, worker, reason, cause="unknown", detail=None):
-        self.degraded_workers.append((worker, reason))
-        self.degraded_details.append(
-            {"worker": worker, "reason": reason, "cause": cause, "detail": detail}
-        )
-        self.bus.publish(
-            WorkerDroppedEvent(self.label, worker, reason, cause=cause, detail=detail)
+        return self._keep(
+            self.degraded_workers,
+            WorkerDroppedEvent(self.label, worker, reason, cause, detail),
         )
 
     def degraded_reasons(self):
         """Degradations as ``(worker, cause, detail)`` tuples (for results)."""
-        return tuple(
-            (entry["worker"], entry["cause"], entry["detail"])
-            for entry in self.degraded_details
-        )
+        return tuple((e.worker, e.cause, e.detail) for e in self.degraded_workers)
 
     def restart_counts(self, workers):
         """Per-worker restart totals as a tuple of length ``workers``."""
@@ -210,10 +108,7 @@ class CampaignStats:
 
     def latest_samples(self):
         """The most recent sample of every worker, keyed by worker index."""
-        latest = {}
-        for sample in self.samples:
-            latest[sample.worker] = sample
-        return latest
+        return {sample.worker: sample for sample in self.samples}
 
     def summary_lines(self):
         """Human-readable per-worker and sync totals (for the CLI)."""
@@ -227,7 +122,7 @@ class CampaignStats:
                     sample.execs,
                     sample.execs_per_vhour(),
                     sample.execs_per_sec(),
-                    sample.queue_size,
+                    sample.queue,
                     sample.crashes,
                     sample.hangs,
                 )
@@ -251,51 +146,30 @@ class CampaignStats:
                     ),
                 )
             )
-        for worker, reason in self.degraded_workers:
-            lines.append("degraded: worker %d dropped — %s" % (worker, reason))
+        for event in self.degraded_workers:
+            lines.append(
+                "degraded: worker %d dropped — %s" % (event.worker, event.reason)
+            )
         return lines
 
 
-class CellRecord:
-    """Outcome of one matrix cell (a whole campaign) in the fan-out pool."""
-
-    __slots__ = ("key", "status", "wall", "execs", "restarts")
-
-    def __init__(self, key, status, wall, execs, restarts=0):
-        self.key = key
-        self.status = status  # "ok" | "error" | "crashed" | "timeout"
-        self.wall = wall
-        self.execs = execs
-        self.restarts = restarts  # supervised retries consumed before this outcome
-
-    def __repr__(self):
-        return "CellRecord(%s: %s in %.1fs)" % (self.key, self.status, self.wall)
-
-
 class MatrixProgress:
-    """Progress log of one parallel matrix run (cell completions)."""
+    """Progress log of one parallel matrix run.
+
+    ``cells`` holds the :class:`CellEvent` of every finished cell.
+    """
 
     def __init__(self, total=0, bus=None):
         self.total = total
         self.bus = bus if bus is not None else get_bus()
         self.cells = []
-        self._start = time.monotonic()
 
     def record_cell(self, key, status, wall, execs=0, restarts=0):
-        record = CellRecord(key, status, wall, execs, restarts)
-        self.cells.append(record)
-        self.bus.publish(
-            CellEvent(
-                key,
-                status,
-                wall,
-                execs=execs,
-                restarts=restarts,
-                done=len(self.cells),
-                total=self.total,
-            )
+        event = CellEvent(
+            key, status, wall, execs, restarts, len(self.cells) + 1, self.total
         )
-        return record
+        self.cells.append(event)
+        return self.bus.publish(event)
 
     def record_retry(self, key, attempt, kind, delay):
         """A cell failed transiently and will be restarted after ``delay``s."""

@@ -880,7 +880,7 @@ class CampaignStore:
                 StoreEvent(
                     "scan",
                     self.worker,
-                    kind=report.kind,
+                    artifact=report.kind,
                     entries=len(report.survivors),
                     quarantined=len(report.quarantined),
                 )

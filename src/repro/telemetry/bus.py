@@ -3,8 +3,9 @@
 One process-local :class:`TelemetryBus` carries every observability event a
 campaign produces — worker progress samples, corpus-sync rounds, supervised
 restarts, matrix-cell completions, metric snapshots, spans, and plateau
-transitions.  Producers construct a *typed* event (below) and ``publish`` it;
-the bus keeps the most recent events in a bounded ring (tests and the live
+transitions.  Producers construct a *typed* event (below; each kind is a
+declarative schema, see :class:`TelemetryEvent`) and ``publish`` it; the
+bus keeps the most recent events in a bounded ring (tests and the live
 TTY view read it back) and forwards each event to every attached sink:
 
 ``NullSink``
@@ -35,8 +36,6 @@ import os
 import time
 from collections import deque
 
-logger = logging.getLogger("repro.fuzzer.parallel")
-
 #: Default number of events the in-memory ring retains.
 DEFAULT_RING_CAPACITY = 4096
 
@@ -48,19 +47,105 @@ DEFAULT_ROTATE_BYTES = 64 * 1024 * 1024
 
 # -- typed events --------------------------------------------------------------
 
+#: ``kind`` -> event class; every :class:`TelemetryEvent` subclass registers.
+EVENT_TYPES = {}
+
+
+def _dict_copy(value):
+    return dict(value) if value else {}
+
+
+def outcome_label(solved, flipped):
+    """A concolic attempt's outcome: ``flipped``, ``solved`` or ``unsolved``."""
+    return "flipped" if flipped else ("solved" if solved else "unsolved")
+
 
 class TelemetryEvent:
-    """Base event: a ``kind`` tag plus wall-clock seconds since the epoch."""
+    """Base event: a ``kind`` tag, a field schema, and a wall-clock stamp.
+
+    A kind is declared, not coded.  Its class sets:
+
+    ``__slots__``
+        the ordered field names: the positional constructor order and the
+        payload and ``repr`` order.  ``wall`` (seconds since the epoch,
+        stamped at construction unless given) follows the last field.
+    ``defaults``
+        field -> default value; a field without one is required.
+    ``convert``
+        field -> function applied to the constructor argument (the
+        defensive copies of container fields).
+    ``encode``
+        field -> function applied to the value in :meth:`payload`.
+    ``log``
+        ``(level, %-format, field names)`` of the :class:`LogSink` line on
+        the ``log_name`` logger, or None when the kind is not logged.
+    ``line``
+        ``(%-format, field names)`` of the one-line TTY rendering.
+
+    A template's field names may also name zero-argument methods, which are
+    called.  The constructor, :meth:`payload`/:meth:`to_dict`,
+    :meth:`from_dict` and ``repr`` are generic.
+    """
 
     kind = "event"
     __slots__ = ("wall",)
+    fields = ()
+    defaults = {}
+    convert = {}
+    encode = {}
+    log = None
+    log_name = "repro.fuzzer.parallel"
+    line = None
 
-    def __init__(self, wall=None):
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.fields = cls.__dict__.get("__slots__", ())
+        EVENT_TYPES[cls.kind] = cls
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        params = cls.fields + ("wall",)
+        if len(args) > len(params):
+            raise TypeError(
+                "%s takes at most %d arguments (%d given)"
+                % (cls.__name__, len(params), len(args))
+            )
+        values = dict(zip(params, args))
+        for name, value in kwargs.items():
+            if name not in params or name in values:
+                raise TypeError(
+                    "%s got an unexpected or repeated argument %r"
+                    % (cls.__name__, name)
+                )
+            values[name] = value
+        for name in cls.fields:
+            if name in values:
+                value = values[name]
+            elif name in cls.defaults:
+                value = cls.defaults[name]
+            else:
+                raise TypeError(
+                    "%s missing required argument %r" % (cls.__name__, name)
+                )
+            convert = cls.convert.get(name)
+            setattr(self, name, value if convert is None else convert(value))
+        wall = values.get("wall")
         self.wall = time.time() if wall is None else wall
 
+    @classmethod
+    def from_dict(cls, data):
+        """Rebuild from :meth:`to_dict` output (a missing field: its default)."""
+        values = {name: data.get(name, cls.defaults.get(name)) for name in cls.fields}
+        return cls(wall=data.get("wall", 0), **values)
+
     def payload(self):
-        """Subclass fields as a plain dict (no ``kind``/``wall``)."""
-        return {}
+        """Fields as a plain dict in schema order (no ``kind``/``wall``)."""
+        encode = self.encode
+        out = {}
+        for name in self.fields:
+            value = getattr(self, name)
+            out[name] = encode[name](value) if name in encode else value
+        return out
 
     def to_dict(self):
         data = {"kind": self.kind, "wall": self.wall}
@@ -70,37 +155,44 @@ class TelemetryEvent:
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.payload())
 
+    def _values(self, names):
+        values = []
+        for name in names.split():
+            value = getattr(self, name)
+            values.append(value() if callable(value) else value)
+        return tuple(values)
+
+    def log_record(self):
+        """``(level, format, args)`` of this event's log line, or None."""
+        if self.log is None:
+            return None
+        level, fmt, names = self.log
+        return level, fmt, self._values(names)
+
+    def tty_line(self):
+        """This event as one human-readable line."""
+        fmt, names = self.line
+        return fmt % self._values(names)
+
 
 class CampaignEvent(TelemetryEvent):
     """Campaign lifecycle: ``action`` is ``"begin"`` or ``"end"``."""
 
     kind = "campaign"
     __slots__ = ("action", "subject", "config", "run_seed", "workers", "budget")
-
-    def __init__(
-        self, action, subject, config, run_seed, workers=1, budget=0, wall=None
-    ):
-        super().__init__(wall)
-        self.action = action
-        self.subject = subject
-        self.config = config
-        self.run_seed = run_seed
-        self.workers = workers
-        self.budget = budget
-
-    def payload(self):
-        return {
-            "action": self.action,
-            "subject": self.subject,
-            "config": self.config,
-            "run_seed": self.run_seed,
-            "workers": self.workers,
-            "budget": self.budget,
-        }
+    defaults = {"workers": 1, "budget": 0}
+    line = (
+        "[campaign %s] %s/%s#%s workers=%s",
+        "action subject config run_seed workers",
+    )
 
 
 class WorkerProgressEvent(TelemetryEvent):
-    """One per-worker progress sample taken at a sync barrier."""
+    """One per-worker progress sample taken at a sync barrier.
+
+    ``elapsed`` is wall seconds since the campaign started; ``queue`` the
+    worker's queue size.
+    """
 
     kind = "worker_progress"
     __slots__ = (
@@ -114,43 +206,28 @@ class WorkerProgressEvent(TelemetryEvent):
         "coverage",
         "elapsed",
     )
+    defaults = {"coverage": 0, "elapsed": 0.0}
+    log = (
+        logging.INFO,
+        "%s worker %d @tick %d: %d execs (%.0f/vh, %.0f/s), queue %d, %d crashes",
+        "label worker tick execs execs_per_vhour execs_per_sec queue crashes",
+    )
+    line = (
+        "[w%s @%s] execs=%s queue=%s crashes=%s coverage=%s",
+        "worker tick execs queue crashes coverage",
+    )
 
-    def __init__(
-        self,
-        label,
-        worker,
-        tick,
-        execs,
-        queue,
-        crashes,
-        hangs,
-        coverage=0,
-        elapsed=0.0,
-        wall=None,
-    ):
-        super().__init__(wall)
-        self.label = label
-        self.worker = worker
-        self.tick = tick
-        self.execs = execs
-        self.queue = queue
-        self.crashes = crashes
-        self.hangs = hangs
-        self.coverage = coverage
-        self.elapsed = elapsed
+    def execs_per_vhour(self):
+        """Executions per virtual hour so far (0 before the first tick)."""
+        if self.tick <= 0:
+            return 0.0
+        return self.execs / (self.tick / _ticks_per_hour())
 
-    def payload(self):
-        return {
-            "label": self.label,
-            "worker": self.worker,
-            "tick": self.tick,
-            "execs": self.execs,
-            "queue": self.queue,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "coverage": self.coverage,
-            "elapsed": self.elapsed,
-        }
+    def execs_per_sec(self):
+        """Executions per wall-clock second so far (0 before any wall time)."""
+        if self.elapsed <= 0:
+            return 0.0
+        return self.execs / self.elapsed
 
 
 class SyncRoundEvent(TelemetryEvent):
@@ -158,53 +235,32 @@ class SyncRoundEvent(TelemetryEvent):
 
     kind = "sync"
     __slots__ = ("label", "tick", "offered", "accepted", "imported", "elapsed")
-
-    def __init__(self, label, tick, offered, accepted, imported=(), elapsed=0.0,
-                 wall=None):
-        super().__init__(wall)
-        self.label = label
-        self.tick = tick
-        self.offered = offered
-        self.accepted = accepted
-        self.imported = tuple(imported)
-        self.elapsed = elapsed
-
-    def payload(self):
-        return {
-            "label": self.label,
-            "tick": self.tick,
-            "offered": self.offered,
-            "accepted": self.accepted,
-            "imported": list(self.imported),
-            "elapsed": self.elapsed,
-        }
+    defaults = {"imported": (), "elapsed": 0.0}
+    convert = {"imported": tuple}
+    encode = {"imported": list}
+    log = (
+        logging.INFO,
+        "%s sync @tick %d: %d offered, %d accepted into shared corpus",
+        "label tick offered accepted",
+    )
+    line = ("[sync @%s] offered=%s accepted=%s", "tick offered accepted")
 
 
 class WorkerRestartEvent(TelemetryEvent):
-    """One supervised worker restart (death/stall -> backoff -> respawn)."""
+    """One supervised worker restart (death/stall -> backoff -> respawn).
+
+    ``attempt`` is the worker's 1-based restart count.
+    """
 
     kind = "restart"
     __slots__ = ("label", "worker", "attempt", "reason", "delay", "elapsed")
-
-    def __init__(self, label, worker, attempt, reason, delay, elapsed=0.0,
-                 wall=None):
-        super().__init__(wall)
-        self.label = label
-        self.worker = worker
-        self.attempt = attempt
-        self.reason = reason
-        self.delay = delay
-        self.elapsed = elapsed
-
-    def payload(self):
-        return {
-            "label": self.label,
-            "worker": self.worker,
-            "attempt": self.attempt,
-            "reason": self.reason,
-            "delay": self.delay,
-            "elapsed": self.elapsed,
-        }
+    defaults = {"elapsed": 0.0}
+    log = (
+        logging.WARNING,
+        "%s worker %d restart #%d after %.2gs backoff: %s",
+        "label worker attempt delay reason",
+    )
+    line = ("[restart w%s #%s] %s", "worker attempt reason")
 
 
 class WorkerDroppedEvent(TelemetryEvent):
@@ -220,53 +276,35 @@ class WorkerDroppedEvent(TelemetryEvent):
 
     kind = "degraded"
     __slots__ = ("label", "worker", "reason", "cause", "detail")
-
-    def __init__(self, label, worker, reason, cause="unknown", detail=None,
-                 wall=None):
-        super().__init__(wall)
-        self.label = label
-        self.worker = worker
-        self.reason = reason
-        self.cause = cause
-        self.detail = detail
-
-    def payload(self):
-        return {
-            "label": self.label,
-            "worker": self.worker,
-            "reason": self.reason,
-            "cause": self.cause,
-            "detail": self.detail,
-        }
+    defaults = {"cause": "unknown", "detail": None}
+    log = (
+        logging.WARNING,
+        "%s worker %d dropped (campaign degraded): %s",
+        "label worker reason",
+    )
+    line = ("[degraded w%s] %s: %s", "worker cause reason")
 
 
 class CellEvent(TelemetryEvent):
-    """One matrix cell finished (ok / error / crashed / timeout)."""
+    """One matrix cell finished (ok / error / crashed / timeout).
+
+    ``secs`` is the cell's wall time, ``restarts`` the supervised retries
+    consumed before this outcome, ``done``/``total`` the matrix progress.
+    """
 
     kind = "cell"
     __slots__ = ("key", "status", "secs", "execs", "restarts", "done", "total")
+    defaults = {"execs": 0, "restarts": 0, "done": 0, "total": 0}
+    encode = {"key": str}
+    log = (
+        logging.INFO,
+        "cell %s: %s in %.1fs (%d/%s done)",
+        "key status secs done total_label",
+    )
+    line = ("[cell %s] %s in %.1fs", "key status secs")
 
-    def __init__(self, key, status, secs, execs=0, restarts=0, done=0, total=0,
-                 wall=None):
-        super().__init__(wall)
-        self.key = key
-        self.status = status
-        self.secs = secs
-        self.execs = execs
-        self.restarts = restarts
-        self.done = done
-        self.total = total
-
-    def payload(self):
-        return {
-            "key": str(self.key),
-            "status": self.status,
-            "secs": self.secs,
-            "execs": self.execs,
-            "restarts": self.restarts,
-            "done": self.done,
-            "total": self.total,
-        }
+    def total_label(self):
+        return self.total or "?"
 
 
 class CellRetryEvent(TelemetryEvent):
@@ -274,21 +312,13 @@ class CellRetryEvent(TelemetryEvent):
 
     kind = "cell_retry"
     __slots__ = ("key", "attempt", "failure", "delay")
-
-    def __init__(self, key, attempt, failure, delay, wall=None):
-        super().__init__(wall)
-        self.key = key
-        self.attempt = attempt
-        self.failure = failure
-        self.delay = delay
-
-    def payload(self):
-        return {
-            "key": str(self.key),
-            "attempt": self.attempt,
-            "failure": self.failure,
-            "delay": self.delay,
-        }
+    encode = {"key": str}
+    log = (
+        logging.WARNING,
+        "cell %s: %s; retry #%d after %.2gs backoff",
+        "key failure attempt delay",
+    )
+    line = ("[cell %s] retry #%s: %s", "key attempt failure")
 
 
 class SpanEvent(TelemetryEvent):
@@ -296,17 +326,9 @@ class SpanEvent(TelemetryEvent):
 
     kind = "span"
     __slots__ = ("name", "secs", "tick", "attrs")
-
-    def __init__(self, name, secs, tick=None, attrs=None, wall=None):
-        super().__init__(wall)
-        self.name = name
-        self.secs = secs
-        self.tick = tick
-        self.attrs = dict(attrs) if attrs else {}
-
-    def payload(self):
-        return {"name": self.name, "secs": self.secs, "tick": self.tick,
-                "attrs": self.attrs}
+    defaults = {"tick": None, "attrs": None}
+    convert = {"attrs": _dict_copy}
+    line = ("[span %s] %.4fs", "name secs")
 
 
 class MetricsSnapshotEvent(TelemetryEvent):
@@ -314,71 +336,73 @@ class MetricsSnapshotEvent(TelemetryEvent):
 
     kind = "metrics"
     __slots__ = ("label", "tick", "metrics")
+    line = ("[metrics @%s] %s", "tick counter_list")
 
-    def __init__(self, label, tick, metrics, wall=None):
-        super().__init__(wall)
-        self.label = label
-        self.tick = tick
-        self.metrics = metrics
-
-    def payload(self):
-        return {"label": self.label, "tick": self.tick, "metrics": self.metrics}
+    def counter_list(self):
+        counters = (self.metrics or {}).get("counters", {})
+        return " ".join("%s=%s" % kv for kv in sorted(counters.items()))
 
 
 class PlateauEvent(TelemetryEvent):
-    """Coverage stopped (``phase="begin"``) or resumed (``phase="end"``)."""
+    """Coverage stopped (``phase="begin"``) or resumed (``phase="end"``).
+
+    A plateau still open when the campaign ends has no ``end`` event.
+    """
 
     kind = "plateau"
     __slots__ = ("label", "phase", "metric", "start_tick", "tick", "value")
 
-    def __init__(self, label, phase, metric, start_tick, tick, value, wall=None):
-        super().__init__(wall)
-        self.label = label
-        self.phase = phase
-        self.metric = metric
-        self.start_tick = start_tick
-        self.tick = tick
-        self.value = value
+    @property
+    def log(self):
+        if self.phase == "begin":
+            return (
+                logging.INFO,
+                "%s %s plateau since tick %d (value %d)",
+                "label metric start_tick value",
+            )
+        return (
+            logging.INFO,
+            "%s %s plateau ended at tick %d after %d ticks",
+            "label metric tick duration",
+        )
 
-    def payload(self):
-        return {
-            "label": self.label,
-            "phase": self.phase,
-            "metric": self.metric,
-            "start_tick": self.start_tick,
-            "tick": self.tick,
-            "value": self.value,
-        }
+    @property
+    def line(self):
+        if self.phase == "begin":
+            return ("[plateau] %s flat since tick %s", "metric start_tick")
+        return ("[plateau] %s resumed at tick %s", "metric tick")
+
+    def duration(self):
+        return self.tick - self.start_tick
 
 
 class StoreEvent(TelemetryEvent):
     """One durable-workspace operation (see :mod:`repro.fuzzer.store`).
 
-    ``action`` is ``"scan"`` (tolerant recovery scan: ``entries`` survivors,
+    ``action`` is ``"scan"`` (tolerant recovery scan of one ``artifact``
+    kind, ``"queue"`` | ``"crashes"`` | ``"hangs"``: ``entries`` survivors,
     ``quarantined`` files moved aside) — the counter the acceptance criteria
-    watch: damage must surface here, never as a campaign failure.
+    watch: damage must surface here, never as a campaign failure.  Only a
+    scan that quarantined something is logged.
     """
 
     kind = "store"
     __slots__ = ("action", "worker", "artifact", "entries", "quarantined")
+    defaults = {"artifact": None, "entries": 0, "quarantined": 0}
+    line = (
+        "[store %s %s/%s] entries=%s quarantined=%s",
+        "action worker artifact entries quarantined",
+    )
 
-    def __init__(self, action, worker, kind=None, entries=0, quarantined=0,
-                 wall=None):
-        super().__init__(wall)
-        self.action = action
-        self.worker = worker
-        self.artifact = kind  # artifact kind: "queue" | "crashes" | "hangs"
-        self.entries = entries
-        self.quarantined = quarantined
-
-    def payload(self):
-        return {
-            "action": self.action,
-            "worker": self.worker,
-            "artifact": self.artifact,
-            "entries": self.entries,
-            "quarantined": self.quarantined,
-        }
+    @property
+    def log(self):
+        if not self.quarantined:
+            return None
+        return (
+            logging.WARNING,
+            "%s store scan %s: %d entries, %d quarantined",
+            "worker artifact entries quarantined",
+        )
 
 
 class TaintEvent(TelemetryEvent):
@@ -394,28 +418,10 @@ class TaintEvent(TelemetryEvent):
 
     kind = "taint"
     __slots__ = ("label", "tick", "index", "rarity", "site", "focus", "frozen")
-
-    def __init__(self, label, tick, index, rarity, site, focus, frozen,
-                 wall=None):
-        super().__init__(wall)
-        self.label = label
-        self.tick = tick
-        self.index = index
-        self.rarity = rarity
-        self.site = site
-        self.focus = focus
-        self.frozen = frozen
-
-    def payload(self):
-        return {
-            "label": self.label,
-            "tick": self.tick,
-            "index": self.index,
-            "rarity": self.rarity,
-            "site": self.site,
-            "focus": self.focus,
-            "frozen": self.frozen,
-        }
+    line = (
+        "[taint @%s] idx=%s rarity=%s site=%s focus=%sB frozen=%sB",
+        "tick index rarity site focus frozen",
+    )
 
 
 class ConcolicEvent(TelemetryEvent):
@@ -431,35 +437,23 @@ class ConcolicEvent(TelemetryEvent):
 
     kind = "concolic"
     __slots__ = (
-        "label", "tick", "index", "rarity", "site", "support", "nodes",
-        "solved", "flipped",
+        "label",
+        "tick",
+        "index",
+        "rarity",
+        "site",
+        "support",
+        "nodes",
+        "solved",
+        "flipped",
+    )
+    line = (
+        "[concolic @%s] idx=%s site=%s support=%sB nodes=%s %s",
+        "tick index site support nodes outcome",
     )
 
-    def __init__(self, label, tick, index, rarity, site, support, nodes,
-                 solved, flipped, wall=None):
-        super().__init__(wall)
-        self.label = label
-        self.tick = tick
-        self.index = index
-        self.rarity = rarity
-        self.site = site
-        self.support = support
-        self.nodes = nodes
-        self.solved = solved
-        self.flipped = flipped
-
-    def payload(self):
-        return {
-            "label": self.label,
-            "tick": self.tick,
-            "index": self.index,
-            "rarity": self.rarity,
-            "site": self.site,
-            "support": self.support,
-            "nodes": self.nodes,
-            "solved": self.solved,
-            "flipped": self.flipped,
-        }
+    def outcome(self):
+        return outcome_label(self.solved, self.flipped)
 
 
 class ServiceEvent(TelemetryEvent):
@@ -478,45 +472,14 @@ class ServiceEvent(TelemetryEvent):
 
     kind = "service"
     __slots__ = ("action", "job", "tenant", "detail", "data")
+    defaults = {"job": None, "tenant": None, "detail": None, "data": None}
+    convert = {"data": _dict_copy}
+    log_name = "repro.service"
+    log = (logging.INFO, "service %s: job=%s tenant=%s %s", "action job tenant note")
+    line = ("[service %s] job=%s tenant=%s %s", "action job tenant note")
 
-    def __init__(self, action, job=None, tenant=None, detail=None, data=None,
-                 wall=None):
-        super().__init__(wall)
-        self.action = action
-        self.job = job
-        self.tenant = tenant
-        self.detail = detail
-        self.data = dict(data) if data else {}
-
-    def payload(self):
-        return {
-            "action": self.action,
-            "job": self.job,
-            "tenant": self.tenant,
-            "detail": self.detail,
-            "data": self.data,
-        }
-
-
-EVENT_TYPES = {
-    cls.kind: cls
-    for cls in (
-        CampaignEvent,
-        WorkerProgressEvent,
-        SyncRoundEvent,
-        WorkerRestartEvent,
-        WorkerDroppedEvent,
-        CellEvent,
-        CellRetryEvent,
-        SpanEvent,
-        MetricsSnapshotEvent,
-        PlateauEvent,
-        StoreEvent,
-        TaintEvent,
-        ConcolicEvent,
-        ServiceEvent,
-    )
-}
+    def note(self):
+        return self.detail or ""
 
 
 # -- sinks ---------------------------------------------------------------------
@@ -533,7 +496,7 @@ class NullSink:
 
 
 class LogSink:
-    """Mirrors events to stdlib loggers, preserving the legacy line formats.
+    """Mirrors events to stdlib loggers through each kind's ``log`` template.
 
     This is what re-bases :mod:`repro.fuzzer.stats` on the bus without
     changing a single ``--verbose`` output line: the stats recorders publish
@@ -542,65 +505,10 @@ class LogSink:
     """
 
     def emit(self, event):
-        kind = event.kind
-        if kind == "worker_progress":
-            vhour = event.execs / (event.tick / _ticks_per_hour()) if event.tick > 0 else 0.0
-            per_sec = event.execs / event.elapsed if event.elapsed > 0 else 0.0
-            logger.info(
-                "%s worker %d @tick %d: %d execs (%.0f/vh, %.0f/s), queue %d, "
-                "%d crashes",
-                event.label, event.worker, event.tick, event.execs,
-                vhour, per_sec, event.queue, event.crashes,
-            )
-        elif kind == "sync":
-            logger.info(
-                "%s sync @tick %d: %d offered, %d accepted into shared corpus",
-                event.label, event.tick, event.offered, event.accepted,
-            )
-        elif kind == "restart":
-            logger.warning(
-                "%s worker %d restart #%d after %.2gs backoff: %s",
-                event.label, event.worker, event.attempt, event.delay, event.reason,
-            )
-        elif kind == "degraded":
-            logger.warning(
-                "%s worker %d dropped (campaign degraded): %s",
-                event.label, event.worker, event.reason,
-            )
-        elif kind == "cell":
-            logger.info(
-                "cell %s: %s in %.1fs (%d/%s done)",
-                event.key, event.status, event.secs, event.done,
-                event.total or "?",
-            )
-        elif kind == "cell_retry":
-            logger.warning(
-                "cell %s: %s; retry #%d after %.2gs backoff",
-                event.key, event.failure, event.attempt, event.delay,
-            )
-        elif kind == "store":
-            if event.quarantined:
-                logger.warning(
-                    "%s store scan %s: %d entries, %d quarantined",
-                    event.worker, event.artifact, event.entries, event.quarantined,
-                )
-        elif kind == "service":
-            logging.getLogger("repro.service").info(
-                "service %s: job=%s tenant=%s %s",
-                event.action, event.job, event.tenant, event.detail or "",
-            )
-        elif kind == "plateau":
-            if event.phase == "begin":
-                logger.info(
-                    "%s %s plateau since tick %d (value %d)",
-                    event.label, event.metric, event.start_tick, event.value,
-                )
-            else:
-                logger.info(
-                    "%s %s plateau ended at tick %d after %d ticks",
-                    event.label, event.metric, event.tick,
-                    event.tick - event.start_tick,
-                )
+        record = event.log_record()
+        if record is not None:
+            level, fmt, args = record
+            logging.getLogger(event.log_name).log(level, fmt, *args)
 
     def close(self):
         pass
@@ -685,63 +593,18 @@ class TTYSink:
 
 
 def format_event_line(data):
-    """One-line human rendering of an event dict (TTY sink and tail view)."""
+    """One-line human rendering of an event dict (TTY sink and tail view).
+
+    Kinds this version does not know, and events too malformed for their
+    template, render as the raw dict.
+    """
     kind = data.get("kind", "?")
-    if kind == "worker_progress":
-        return "[w%s @%s] execs=%s queue=%s crashes=%s coverage=%s" % (
-            data.get("worker"), data.get("tick"), data.get("execs"),
-            data.get("queue"), data.get("crashes"), data.get("coverage"),
-        )
-    if kind == "sync":
-        return "[sync @%s] offered=%s accepted=%s" % (
-            data.get("tick"), data.get("offered"), data.get("accepted"))
-    if kind == "restart":
-        return "[restart w%s #%s] %s" % (
-            data.get("worker"), data.get("attempt"), data.get("reason"))
-    if kind == "degraded":
-        return "[degraded w%s] %s: %s" % (
-            data.get("worker"), data.get("cause", "unknown"), data.get("reason"))
-    if kind == "service":
-        return "[service %s] job=%s tenant=%s %s" % (
-            data.get("action"), data.get("job"), data.get("tenant"),
-            data.get("detail") or "")
-    if kind == "cell":
-        return "[cell %s] %s in %.1fs" % (
-            data.get("key"), data.get("status"), data.get("secs") or 0.0)
-    if kind == "cell_retry":
-        return "[cell %s] retry #%s: %s" % (
-            data.get("key"), data.get("attempt"), data.get("failure"))
-    if kind == "span":
-        return "[span %s] %.4fs" % (data.get("name"), data.get("secs") or 0.0)
-    if kind == "metrics":
-        counters = (data.get("metrics") or {}).get("counters", {})
-        return "[metrics @%s] %s" % (
-            data.get("tick"),
-            " ".join("%s=%s" % kv for kv in sorted(counters.items())))
-    if kind == "plateau":
-        if data.get("phase") == "begin":
-            return "[plateau] %s flat since tick %s" % (
-                data.get("metric"), data.get("start_tick"))
-        return "[plateau] %s resumed at tick %s" % (
-            data.get("metric"), data.get("tick"))
-    if kind == "taint":
-        return "[taint @%s] idx=%s rarity=%s site=%s focus=%sB frozen=%sB" % (
-            data.get("tick"), data.get("index"), data.get("rarity"),
-            data.get("site"), data.get("focus"), data.get("frozen"))
-    if kind == "concolic":
-        return "[concolic @%s] idx=%s site=%s support=%sB nodes=%s %s" % (
-            data.get("tick"), data.get("index"), data.get("site"),
-            data.get("support"), data.get("nodes"),
-            "flipped" if data.get("flipped")
-            else ("solved" if data.get("solved") else "unsolved"))
-    if kind == "campaign":
-        return "[campaign %s] %s/%s#%s workers=%s" % (
-            data.get("action"), data.get("subject"), data.get("config"),
-            data.get("run_seed"), data.get("workers"))
-    if kind == "store":
-        return "[store %s %s/%s] entries=%s quarantined=%s" % (
-            data.get("action"), data.get("worker"), data.get("artifact"),
-            data.get("entries"), data.get("quarantined"))
+    cls = EVENT_TYPES.get(kind)
+    if cls is not None:
+        try:
+            return cls.from_dict(data).tty_line()
+        except (TypeError, ValueError):
+            pass
     return "[%s] %r" % (kind, data)
 
 

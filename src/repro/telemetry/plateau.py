@@ -138,12 +138,14 @@ class PlateauDetector:
         return None
 
     def finish(self, tick):
-        """End of stream: an open plateau stays open; returns all plateaus."""
+        """End of stream: an open plateau stays open; returns all plateaus.
+
+        No ``end`` event is published for it — the stall never ended, and
+        trace readers report a ``begin`` without an ``end`` as open.
+        """
         # A stall that never reached the window before the campaign ended is
         # deliberately not promoted: it is indistinguishable from "still
         # exploring" at this sampling horizon.
-        if self._open is not None:
-            self._publish("end", self._open, tick)
         return list(self.plateaus)
 
     def _close(self, tick):

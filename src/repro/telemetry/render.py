@@ -13,7 +13,7 @@ are identified by legend + direct label (never color alone), and the
 categorical palette below is the repo-wide validated default.
 """
 
-from repro.telemetry.bus import format_event_line, read_trace
+from repro.telemetry.bus import format_event_line, outcome_label, read_trace
 
 # Validated categorical palette (light, dark) in fixed assignment order —
 # series beyond the eighth fold into "other".
@@ -54,21 +54,21 @@ class TraceSummary:
     def __init__(self, events, skipped=0):
         self.events = events
         self.skipped = skipped
-        self.campaign = next(
-            (e for e in events if e.get("kind") == "campaign"), None
-        )
-        self.progress = [e for e in events if e.get("kind") == "worker_progress"]
-        self.syncs = [e for e in events if e.get("kind") == "sync"]
-        self.restarts = [e for e in events if e.get("kind") == "restart"]
-        self.dropped = [e for e in events if e.get("kind") == "degraded"]
-        self.cells = [e for e in events if e.get("kind") == "cell"]
-        self.cell_retries = [e for e in events if e.get("kind") == "cell_retry"]
-        self.metrics = [e for e in events if e.get("kind") == "metrics"]
-        self.plateau_events = [e for e in events if e.get("kind") == "plateau"]
-        self.spans = [e for e in events if e.get("kind") == "span"]
-        self.service = [e for e in events if e.get("kind") == "service"]
-        self.taint = [e for e in events if e.get("kind") == "taint"]
-        self.concolic = [e for e in events if e.get("kind") == "concolic"]
+        by_kind = {}
+        for e in events:
+            by_kind.setdefault(e.get("kind"), []).append(e)
+        self.campaign = by_kind.get("campaign", [None])[0]
+        self.progress = by_kind.get("worker_progress", [])
+        self.syncs = by_kind.get("sync", [])
+        self.restarts = by_kind.get("restart", [])
+        self.dropped = by_kind.get("degraded", [])
+        self.cells = by_kind.get("cell", [])
+        self.cell_retries = by_kind.get("cell_retry", [])
+        self.metrics = by_kind.get("metrics", [])
+        self.plateau_events = by_kind.get("plateau", [])
+        self.service = by_kind.get("service", [])
+        self.taint = by_kind.get("taint", [])
+        self.concolic = by_kind.get("concolic", [])
         self.wall0 = min((e.get("wall", 0) for e in events), default=0)
 
     def title(self):
@@ -259,8 +259,7 @@ class TraceSummary:
                 e.get("site", "?"),
                 e.get("support", 0),
                 e.get("nodes", 0),
-                "flipped" if e.get("flipped")
-                else ("solved" if e.get("solved") else "unsolved"),
+                outcome_label(e.get("solved"), e.get("flipped")),
                 e.get("tick", 0),
             )
             for e in self.concolic

@@ -238,7 +238,7 @@ def test_restart_budget_exhaustion_degrades_not_fails():
     assert merged.degraded
     assert merged.worker_restarts == (0, 1)
     assert len(worker_results) == 1  # only worker 0 reached the finish line
-    assert [w for w, _ in stats.degraded_workers] == [1]
+    assert [e.worker for e in stats.degraded_workers] == [1]
     assert any("degraded" in line for line in stats.summary_lines())
     # Worker 1 died before contributing anything, so the survivor saw no
     # imports: its campaign is exactly the deterministic solo instance.

@@ -14,12 +14,13 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.fuzzer.stats import CampaignStats, MatrixProgress, WorkerSample
+from repro.fuzzer.stats import CampaignStats, MatrixProgress
 from repro.subjects import get_subject
 from repro.telemetry import engine_telemetry, start_trace
 from repro.telemetry.bus import (
     CampaignEvent,
     JsonlSink,
+    LogSink,
     NullSink,
     PlateauEvent,
     SpanEvent,
@@ -197,19 +198,27 @@ def test_registry_snapshot_and_diff():
 # -- rate math edge cases ------------------------------------------------------
 
 
-def test_worker_sample_rates_at_zero_denominators():
-    sample = WorkerSample(0, tick=0, execs=100, queue_size=1, crashes=0,
-                          hangs=0, wall=0.0)
-    assert sample.execs_per_vhour() == 0.0
-    assert sample.execs_per_sec() == 0.0
-    sample = WorkerSample(0, tick=-5, execs=100, queue_size=1, crashes=0,
-                          hangs=0, wall=-1.0)
-    assert sample.execs_per_vhour() == 0.0
-    assert sample.execs_per_sec() == 0.0
-    sample = WorkerSample(0, tick=400_000, execs=100, queue_size=1, crashes=0,
-                          hangs=0, wall=2.0)
-    assert sample.execs_per_vhour() == pytest.approx(100.0)
-    assert sample.execs_per_sec() == pytest.approx(50.0)
+def test_worker_sample_rates_at_zero_denominators(caplog):
+    cases = [
+        (dict(tick=0, execs=100, elapsed=0.0), 0.0, 0.0, "(0/vh, 0/s)"),
+        (dict(tick=-5, execs=100, elapsed=-1.0), 0.0, 0.0, "(0/vh, 0/s)"),
+        (dict(tick=400_000, execs=100, elapsed=2.0), 100.0, 50.0,
+         "(100/vh, 50/s)"),
+    ]
+    sink = LogSink()
+    for fields, vhour, per_sec, logged in cases:
+        event = WorkerProgressEvent("lbl", 0, queue=1, crashes=0, hangs=0,
+                                    **fields)
+        assert event.execs_per_vhour() == pytest.approx(vhour)
+        assert event.execs_per_sec() == pytest.approx(per_sec)
+        # The LogSink worker line prints these same rates.
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="repro.fuzzer.parallel"):
+            sink.emit(event)
+        assert [r.getMessage() for r in caplog.records] == [
+            "lbl worker 0 @tick %d: 100 execs %s, queue 1, 0 crashes"
+            % (fields["tick"], logged)
+        ]
 
 
 # -- plateau detection ---------------------------------------------------------
@@ -277,7 +286,7 @@ def test_span_tracer_records_histograms_and_events():
     assert tracer.registry.histogram("span.execute").count == 1
 
 
-def test_engine_telemetry_counts_and_plateaus():
+def test_engine_telemetry_counts_and_plateaus(caplog):
     class FakeResult:
         def __init__(self, timeout=False, trap=None):
             self.instr_count = 10
@@ -285,6 +294,7 @@ def test_engine_telemetry_counts_and_plateaus():
             self.trap = trap
 
     bus = TelemetryBus()
+    bus.attach(LogSink())
     tel = EngineTelemetry(bus=bus, label="t").begin(budget_ticks=800)
     tel.record_exec(0.001, FakeResult())
     tel.record_exec(0.001, FakeResult(timeout=True))
@@ -292,10 +302,11 @@ def test_engine_telemetry_counts_and_plateaus():
     tel.record_stage("mutate", 0.0005)
     tel.record_queued()
     tel.record_skipped()
-    for tick in (0, 200, 400, 600, 800):
-        tel.sample(tick, coverage=5, queue_size=1, crashes=1, execs=3)
-    tel.finish(800)
-    tel.finish(800)  # idempotent: no duplicate end events
+    with caplog.at_level(logging.INFO, logger="repro.fuzzer.parallel"):
+        for tick in (0, 200, 400, 600, 800):
+            tel.sample(tick, coverage=5, queue_size=1, crashes=1, execs=3)
+        tel.finish(800)
+        tel.finish(800)  # idempotent: the second call publishes nothing
     reg = tel.registry
     assert reg.counter("execs").value == 3
     assert reg.counter("hangs").value == 1
@@ -303,9 +314,19 @@ def test_engine_telemetry_counts_and_plateaus():
     assert reg.counter("instrs").value == 30
     assert reg.histogram("span.mutate").count == 1
     assert len(tel.plateaus()) == 1 and tel.plateaus()[0].open
+    # The plateau is still open at the end, so no "end" event is published
+    # and the rendered trace reports it as open.
     ends = [e for e in bus.recent()
             if isinstance(e, PlateauEvent) and e.phase == "end"]
-    assert len(ends) == 1
+    assert len(ends) == 0
+    assert "t coverage plateau since tick 0 (value 5)" in caplog.text
+    assert "plateau ended" not in caplog.text
+    from repro.telemetry import render
+
+    events = [e.to_dict() for e in bus.recent()]
+    assert "  plateau: coverage 5 flat from tick 0 (open)" in (
+        render.summarize(events))
+    assert "| 0 | open | 5 |" in render.render_markdown(events)
 
 
 # -- determinism contract ------------------------------------------------------
