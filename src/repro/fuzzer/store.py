@@ -39,12 +39,12 @@ counter, so the quarantine-and-continue path is provable in CI rather than
 hoped for.
 """
 
-import errno
 import hashlib
 import json
 import logging
 import os
 import socket
+import threading
 import time
 
 logger = logging.getLogger("repro.fuzzer.store")
@@ -141,6 +141,28 @@ def atomic_write_bytes(path, data, fsync=True):
             os.fsync(handle.fileno())
     os.replace(tmp_path, path)
     return path
+
+
+def _create_with_payload(path, payload, fsync):
+    """Create ``path`` holding ``payload``; ``FileExistsError`` if it exists.
+
+    The payload goes into a private temp file first, which is then
+    hard-linked to ``path``.  ``os.link`` fails when ``path`` exists, so
+    this is as exclusive as ``O_EXCL``, and no reader ever finds ``path``
+    empty: an empty lock reads as unowned, and a racer would steal it.
+    """
+    tmp_path = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
+    fd = os.open(tmp_path, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
+    try:
+        try:
+            os.write(fd, payload)
+            if fsync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.link(tmp_path, path)
+    finally:
+        os.unlink(tmp_path)
 
 
 def _fsync_dir(path):
@@ -305,18 +327,21 @@ def _steal_stale_lock(directory, lock_path):
     Two concurrent openers can both observe the same stale lock; naive
     ``unlink`` lets the slower one remove the *winner's* fresh lock, and
     both end up holding the directory.  The steal is therefore serialized
-    through an ``O_EXCL`` marker file: only the marker holder may unlink,
+    through an exclusive marker file: only the marker holder may unlink,
     and it re-reads the owner *under the marker* so a lock re-taken by a
     live process in the meantime survives.  Returns to the caller's
     acquire loop either way; raises :class:`StoreLockError` when the lock
     (or the marker) turns out to be held by a live process after all.
     """
     marker = lock_path + ".steal"
+    # The marker carries a short lease of its own, so a steal wedged on
+    # one host cannot block other hosts forever.
+    marker_payload = format_lock_payload(
+        lock_host(), os.getpid(), 0, time.time() + _STEAL_MARKER_TTL
+    ).encode("ascii")
     try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except OSError as exc:
-        if exc.errno != errno.EEXIST:
-            raise
+        _create_with_payload(marker, marker_payload, fsync=False)
+    except FileExistsError:
         # Another opener is mid-steal.  A live marker holder owns the right
         # to the lock — that is contention, not staleness.  A dead (or
         # lease-expired) one left its marker behind; clear it and retry.
@@ -330,17 +355,6 @@ def _steal_stale_lock(directory, lock_path):
         except OSError:
             pass
         return
-    try:
-        # The marker carries a short lease of its own, so a steal wedged on
-        # one host cannot block other hosts forever.
-        os.write(
-            fd,
-            format_lock_payload(
-                lock_host(), os.getpid(), 0, time.time() + _STEAL_MARKER_TTL
-            ).encode("ascii"),
-        )
-    finally:
-        os.close(fd)
     try:
         record = read_lock_record(lock_path)
         if _lock_is_stale(record):
@@ -383,10 +397,8 @@ def acquire_pidfile_lock(directory, fsync=True, ttl=None, epoch=0, clock=None):
     ).encode("ascii")
     while True:
         try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except OSError as exc:
-            if exc.errno != errno.EEXIST:
-                raise
+            _create_with_payload(lock_path, payload, fsync)
+        except FileExistsError:
             record = read_lock_record(lock_path)
             if record is not None and not _lock_is_stale(record):
                 # A live owner — even this very process (a second store on
@@ -397,12 +409,6 @@ def acquire_pidfile_lock(directory, fsync=True, ttl=None, epoch=0, clock=None):
                 )
             _steal_stale_lock(directory, lock_path)
             continue
-        try:
-            os.write(fd, payload)
-            if fsync:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
         return lock_path
 
 

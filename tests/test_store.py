@@ -198,6 +198,51 @@ def test_concurrent_openers_racing_stale_lock_yield_one_winner(tmp_path):
             child.wait()
 
 
+def test_lock_is_never_visible_without_its_payload(tmp_path, monkeypatch):
+    # The first opener is held at its payload write.  A second opener that
+    # runs meanwhile must not find an empty LOCK and steal it as stale:
+    # exactly one of the two may come out holding the lock, and the lock
+    # must name that one.
+    import threading
+
+    from repro.fuzzer import store as store_mod
+    from repro.fuzzer.store import acquire_pidfile_lock, read_lock_record
+
+    directory = str(tmp_path)
+    real_write = os.write
+    entered = threading.Event()
+    release = threading.Event()
+    outcomes = {}
+
+    def held_write(fd, data):
+        if threading.current_thread() is first and not entered.is_set():
+            entered.set()
+            release.wait(10)
+        return real_write(fd, data)
+
+    def open_lock(epoch):
+        try:
+            acquire_pidfile_lock(directory, fsync=False, epoch=epoch)
+        except StoreLockError:
+            outcomes[epoch] = "locked"
+        else:
+            outcomes[epoch] = "ok"
+
+    monkeypatch.setattr(store_mod.os, "write", held_write)
+    first = threading.Thread(target=open_lock, args=(1,))
+    first.start()
+    try:
+        assert entered.wait(10)
+        open_lock(2)
+    finally:
+        release.set()
+        first.join(10)
+    assert sorted(outcomes.values()) == ["locked", "ok"]
+    winner = next(epoch for epoch, out in outcomes.items() if out == "ok")
+    assert read_lock_record(os.path.join(directory, LOCK_NAME)).epoch == winner
+    assert sorted(os.listdir(directory)) == [LOCK_NAME]
+
+
 # -- lease locks / fencing -----------------------------------------------------
 
 
