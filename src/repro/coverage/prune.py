@@ -42,12 +42,6 @@ Soundness conditions, all statically checked:
 - dropped probes form a forest of the flow graph together with the
   unprobed edges, so leaf peeling resolves every dropped count into kept
   cells only.
-
-:func:`apply_saturation` layers dynamic de-instrumentation on top: once a
-map cell has been observed in **every** AFL count bucket, no execution can
-ever produce a novelty decision from it again, so its probe can be removed
-outright (no reconstruction).  The engine re-specializes the compiled
-program with such a plan when the map plateaus.
 """
 
 import hashlib
@@ -55,10 +49,6 @@ import hashlib
 from repro.cfg.analysis import DominatorTree
 from repro.cfg.instructions import RET
 from repro.runtime.interpreter import ACT_HIT
-
-# A cell is saturated once its virgin-map bucket mask has all eight AFL
-# count classes (1, 2, 3, 4-7, 8-15, 16-31, 32-127, 128+).
-_ALL_BUCKETS = 0xFF
 
 # Reconstruction expressions longer than this keep their probe instead:
 # the per-execution cost of applying a huge expression outweighs one
@@ -325,72 +315,6 @@ def build_prune_plan(program, instrumentation):
             if edge.sym:
                 terms = tuple(sorted(edge.sym.items()))
                 reconstruct.append((edge.cell, terms))
-    return PrunePlan(edge_actions, ret_actions, entry_actions, reconstruct, dropped)
-
-
-def saturated_cells(virgin):
-    """Cells of ``virgin`` observed in every AFL bucket.
-
-    A probe on such a cell can never contribute a novelty decision again:
-    any positive count classifies into an already-seen bucket, and a zero
-    count leaves the cell out of the classified map entirely.
-    """
-    return {
-        idx for idx, bits in virgin.bits.items() if bits & _ALL_BUCKETS == _ALL_BUCKETS
-    }
-
-
-def apply_saturation(program, instrumentation, cells, base=None):
-    """Drop every probe writing a cell in ``cells`` (no reconstruction).
-
-    Layers on top of ``base`` (a plan from :func:`build_prune_plan`) when
-    given.  Cells serving as reconstruction *sources* for a non-saturated
-    target are protected — removing them would corrupt the reconstructed
-    map.  Returns a new :class:`PrunePlan`, or ``base`` unchanged when
-    nothing newly qualifies.
-    """
-    if instrumentation is None or not _is_pure_hit(instrumentation):
-        return base
-    if base is not None:
-        edge_actions = [dict(table) for table in base.edge_actions]
-        ret_actions = [dict(table) for table in base.ret_actions]
-        entry_actions = list(base.entry_actions)
-        reconstruct = [entry for entry in base.reconstruct if entry[0] not in cells]
-        dropped = base.dropped + (len(base.reconstruct) - len(reconstruct))
-    else:
-        edge_actions = [dict(table) for table in instrumentation.edge_actions]
-        ret_actions = [dict(table) for table in instrumentation.ret_actions]
-        entry_actions = list(instrumentation.entry_actions)
-        reconstruct = []
-        dropped = 0
-    protected = {source for _, terms in reconstruct for source, _ in terms}
-    removable = cells - protected
-
-    def filter_acts(acts):
-        kept = tuple(act for act in acts if act[1] not in removable)
-        return kept if len(kept) != len(acts) else None
-
-    changed = dropped != (base.dropped if base is not None else 0)
-    for tables in (edge_actions, ret_actions):
-        for table in tables:
-            for site in list(table):
-                kept = filter_acts(table[site])
-                if kept is None:
-                    continue
-                changed = True
-                dropped += 1
-                if kept:
-                    table[site] = kept
-                else:
-                    del table[site]
-    for f, acts in enumerate(entry_actions):
-        kept = filter_acts(acts)
-        if kept is not None:
-            changed = True
-            dropped += 1
-            entry_actions[f] = kept
-    if not changed and base is not None:
-        return base
     return PrunePlan(edge_actions, ret_actions, entry_actions, reconstruct, dropped)
 
 

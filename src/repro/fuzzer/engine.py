@@ -57,7 +57,6 @@ class EngineConfig:
         "cmplog_max_candidates",
         "backend",
         "probe_prune",
-        "saturation_interval",
         "use_taint",
         "taint_targets",
         "use_concolic",
@@ -78,7 +77,6 @@ class EngineConfig:
         cmplog_max_candidates=48,
         backend=None,
         probe_prune=False,
-        saturation_interval=0,
         use_taint=None,
         taint_targets=4,
         use_concolic=None,
@@ -97,12 +95,8 @@ class EngineConfig:
         # Execution backend: None defers to REPRO_BACKEND (default interp).
         # probe_prune elides flow-derivable probes under the compiled
         # backend (coverage maps unchanged; probe charges drop).
-        # saturation_interval > 0 additionally de-instruments bucket-
-        # saturated cells every that-many execs — a throughput layer that,
-        # like changing instrumentation, perturbs the virtual clock.
         self.backend = backend
         self.probe_prune = probe_prune
-        self.saturation_interval = saturation_interval
         # Taint-guided mutation (repro.taint): None defers to REPRO_TAINT
         # (default off).  Per queue cycle, ``taint_targets`` rare branches
         # get masked mutation (budgets: the TAINT_* constants above).
@@ -724,11 +718,6 @@ class FuzzEngine:
         self.execs += 1
         if self.execs % self.config.timeline_interval == 0:
             self._snapshot()
-        interval = self.config.saturation_interval
-        if interval and self.execs % interval == 0:
-            # Reads only the virgin map, so resuming a checkpoint replays
-            # the same respecialization points.
-            self.backend.respecialize(self.virgin)
         return result
 
     def _run_and_process(self, data, depth):

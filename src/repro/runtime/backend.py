@@ -20,16 +20,11 @@ callers need no backend-specific branches:
   (:func:`repro.coverage.prune.build_prune_plan`) at compile time; counts
   of elided probes are reconstructed after each complete run, so observed
   coverage maps are unchanged while ``probe_cost`` drops.
-- :meth:`Backend.respecialize` drops probes whose cells have saturated a
-  virgin map's buckets (:func:`repro.coverage.prune.saturated_cells`) and
-  recompiles.  This changes what the maps record (saturated cells stop
-  being counted) and therefore the virtual clock's probe charges — callers
-  wanting bit-identical cross-backend campaigns leave it off.
 """
 
 import os
 
-from repro.coverage.prune import apply_saturation, build_prune_plan, saturated_cells
+from repro.coverage.prune import build_prune_plan
 from repro.runtime import interpreter
 from repro.runtime.compiler import compile_program
 
@@ -63,9 +58,7 @@ class Backend:
         "program",
         "instrumentation",
         "execute",
-        "_base_plan",
         "_plan",
-        "_saturated",
     )
 
     def taint_execute(self, data, **kwargs):
@@ -87,9 +80,7 @@ class Backend:
         self.name = resolve_backend(name)
         self.program = program
         self.instrumentation = instrumentation
-        self._saturated = frozenset()
         if self.name == "interp":
-            self._base_plan = None
             self._plan = None
 
             def _run(data, **kwargs):
@@ -100,10 +91,9 @@ class Backend:
             # build_prune_plan returns None for instrumentations it cannot
             # soundly elide (path-state actions), so probe_prune=True is
             # safe to request unconditionally.
-            self._base_plan = (
+            self._plan = (
                 build_prune_plan(program, instrumentation) if probe_prune else None
             )
-            self._plan = self._base_plan
             self.execute = compile_program(
                 program, instrumentation, self._plan
             ).execute
@@ -112,31 +102,6 @@ class Backend:
     def prune_plan(self):
         """The active PrunePlan (None under interp or unpruned compile)."""
         return self._plan
-
-    def respecialize(self, virgin):
-        """De-instrument probes that can no longer produce novelty.
-
-        Given the campaign's virgin map, drops every probe writing a cell
-        whose AFL buckets have all been observed and recompiles.  Returns
-        True when a recompilation happened.  No-op under the interpreter
-        backend (its dispatch pays per-action either way).
-        """
-        if self.name != "compile":
-            return False
-        cells = saturated_cells(virgin)
-        if cells <= self._saturated:
-            return False
-        self._saturated = frozenset(cells)
-        plan = apply_saturation(
-            self.program, self.instrumentation, cells, base=self._base_plan
-        )
-        if plan is self._plan:
-            return False
-        self._plan = plan
-        self.execute = compile_program(
-            self.program, self.instrumentation, plan
-        ).execute
-        return True
 
 
 def make_backend(program, instrumentation=None, backend=None, probe_prune=False):

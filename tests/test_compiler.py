@@ -211,40 +211,6 @@ def test_backend_env_var_is_honored(monkeypatch):
     assert backend_mod._ENV_VAR == "REPRO_BACKEND"
 
 
-def test_respecialization_drops_only_saturated_probes():
-    from repro.coverage.bitmap import VirginMap, classify_hits
-
-    subject = get_subject("flvmeta")
-    program = subject.program
-    instrumentation = feedback_by_name("edge").instrument(program)
-    backend = make_backend(
-        program, instrumentation, backend="compile", probe_prune=True
-    )
-    virgin = VirginMap()
-    results = {}
-    for seed in subject.seeds:
-        result = backend.execute(bytes(seed))
-        results[bytes(seed)] = dict(result.hits)
-        virgin.merge(classify_hits(result.hits))
-    # Saturate every observed cell artificially: merge maps whose counts
-    # land in each AFL bucket.
-    for scale in (1, 2, 3, 4, 8, 16, 32, 128):
-        virgin.merge(
-            classify_hits(
-                {idx: scale for data in results for idx in results[data]}
-            )
-        )
-    assert backend.respecialize(virgin)
-    for seed in subject.seeds:
-        pruned = backend.execute(bytes(seed))
-        baseline = results[bytes(seed)]
-        # Dropped cells vanish; every cell still reported is exact.
-        for idx, count in pruned.hits.items():
-            assert baseline.get(idx) == count
-    # A second call with the same virgin map is a no-op.
-    assert not backend.respecialize(virgin)
-
-
 def test_compiled_cache_dir_roundtrip(tmp_path, monkeypatch):
     from repro.runtime import compiler as compiler_mod
 
