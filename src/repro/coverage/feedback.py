@@ -46,6 +46,7 @@ class Instrumentation:
     ``edge_actions[f][(src, dst)]``, ``ret_actions[f][block]`` and
     ``entry_actions[f]`` hold tuples of VM action tuples; ``map_mask`` sizes
     the coverage map; ``ngram_n`` parameterizes ACT_NGRAM handling.
+    ``pure_hit`` and ``edge_rows`` are set by :meth:`finalize`.
     """
 
     __slots__ = (
@@ -55,6 +56,7 @@ class Instrumentation:
         "ret_actions",
         "entry_actions",
         "edge_rows",
+        "pure_hit",
         "ngram_n",
         "pair_paths",
         "probe_sites",
@@ -71,6 +73,7 @@ class Instrumentation:
         # lets the VM look up edge actions without allocating (src, dst)
         # tuples on every transition.
         self.edge_rows = None
+        self.pure_hit = False
         self.ngram_n = ngram_n
         # When set, every path-end emission also hits a rolling 2-gram of
         # consecutive path ids (the paper's Sec. VII future-work feedback).
@@ -78,14 +81,34 @@ class Instrumentation:
         self.probe_sites = 0
 
     def finalize(self, program):
-        """Build the fast per-source-block lookup rows (idempotent)."""
+        """Decide pure-HIT and build the VM's edge rows (idempotent).
+
+        The instrumentation is *pure-HIT* when every edge, return and entry
+        probe site holds exactly one ``ACT_HIT``: each probe then adds one
+        to one map cell at ``PROBE_COSTS[ACT_HIT] == 1`` tick, so every
+        executor charges such probes from the map after the run
+        (:func:`~repro.runtime.interpreter.charge_hits`), the compiled
+        backend emits no per-probe accounting, and probe pruning applies.
+
+        ``edge_rows[f][src]`` maps ``dst`` to the edge's actions, so the VM
+        looks them up without allocating a ``(src, dst)`` tuple per
+        transition.  Under pure-HIT the row value is the map index itself.
+        """
+        sites = [
+            acts
+            for tables in (self.edge_actions, self.ret_actions)
+            for table in tables
+            for acts in table.values()
+        ]
+        sites.extend(acts for acts in self.entry_actions if acts)
+        self.pure_hit = all(len(acts) == 1 and acts[0][0] == ACT_HIT for acts in sites)
         self.edge_rows = []
         for func in program.funcs:
             rows = [None] * len(func.blocks)
             for (src, dst), acts in self.edge_actions[func.index].items():
                 if rows[src] is None:
                     rows[src] = {}
-                rows[src][dst] = acts
+                rows[src][dst] = acts[0][1] if self.pure_hit else acts
             self.edge_rows.append(rows)
         return self
 

@@ -33,9 +33,9 @@ execution.
 
 Soundness conditions, all statically checked:
 
-- the instrumentation is pure-HIT (every action is ``ACT_HIT``): path-state
-  actions (Ball-Larus increments, hashed-path updates) are order-sensitive
-  and never pruned;
+- the instrumentation is pure-HIT (``Instrumentation.pure_hit``: one
+  ``ACT_HIT`` per probe site): path-state actions (Ball-Larus increments,
+  hashed-path updates) are order-sensitive and never pruned;
 - a probe is droppable only if it is a site's sole action and its map cell
   is written by exactly one probe program-wide (a hash collision would make
   the reconstructed count unrecoverable);
@@ -48,7 +48,6 @@ import hashlib
 
 from repro.cfg.analysis import DominatorTree
 from repro.cfg.instructions import RET
-from repro.runtime.interpreter import ACT_HIT
 
 # Reconstruction expressions longer than this keep their probe instead:
 # the per-execution cost of applying a huge expression outweighs one
@@ -57,20 +56,6 @@ _MAX_TERMS = 16
 
 # Virtual exit node of the per-function flow graph.
 _EXIT = -1
-
-
-def _is_pure_hit(instrumentation):
-    for tables in (instrumentation.edge_actions, instrumentation.ret_actions):
-        for table in tables:
-            for acts in table.values():
-                for act in acts:
-                    if act[0] != ACT_HIT:
-                        return False
-    for acts in instrumentation.entry_actions:
-        for act in acts:
-            if act[0] != ACT_HIT:
-                return False
-    return True
 
 
 def _cell_usage(instrumentation):
@@ -226,7 +211,7 @@ def build_prune_plan(program, instrumentation):
     Returns a :class:`PrunePlan`, or ``None`` when the instrumentation is
     absent or uses path-state actions (nothing can be pruned soundly).
     """
-    if instrumentation is None or not _is_pure_hit(instrumentation):
+    if instrumentation is None or not instrumentation.pure_hit:
         return None
     usage = _cell_usage(instrumentation)
     edge_actions = [dict(table) for table in instrumentation.edge_actions]

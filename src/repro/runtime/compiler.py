@@ -20,10 +20,12 @@ once, then executes the compiled closures instead:
   counter and probe accounting live in function-local integers, flushed to
   the shared cells only around calls, traps, and returns (every point where
   another frame or the harness can observe them);
-- for pure edge/block instrumentation (only HIT actions), per-probe
-  accounting disappears entirely — each HIT increments exactly one coverage
-  cell, so ``probe_count``/``probe_cost`` are recovered as
-  ``sum(hits.values())`` after the run.
+- for pure-HIT instrumentation (edge/block: one HIT per probe site, as
+  decided by :meth:`~repro.coverage.feedback.Instrumentation.finalize`),
+  per-probe accounting disappears entirely — each HIT increments exactly
+  one coverage cell, so ``probe_count``/``probe_cost`` are recovered from
+  the map after the run by :func:`~repro.runtime.interpreter.charge_hits`,
+  the rule the interpreter and the shadow loop apply too.
 
 Semantics are *identical* to the interpreter by construction and by test:
 the compiled code runs against the same runtime object (:class:`_Rt` is an
@@ -106,9 +108,10 @@ from repro.runtime.interpreter import (
     DEFAULT_CALL_DEPTH,
     DEFAULT_INSTR_BUDGET,
     PROBE_COSTS,
+    ExecutionResult,
     _Exec,
+    charge_hits,
 )
-from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.memory import MAX_ALLOC
 from repro.runtime.traps import Timeout, Trap
 from repro.runtime.values import ArrayRef, wrap_int
@@ -327,7 +330,7 @@ class CompiledProgram:
         "_fns_fast",
         "_fns_cmplog_fast",
         "_reconstruct",
-        "_derive_probes",
+        "_pure_hit",
         "_rt",
         "_live",
     )
@@ -353,7 +356,7 @@ class CompiledProgram:
         self._reconstruct = (
             _compile_reconstruct(prune.reconstruct) if prune is not None else None
         )
-        self._derive_probes = _pure_hit(instrumentation)
+        self._pure_hit = instrumentation is not None and instrumentation.pure_hit
 
     def _functions(self, cmplog, fast=False):
         if fast:
@@ -434,14 +437,10 @@ class CompiledProgram:
                 result = rt.run(input_bytes)
         finally:
             rt._busy = False
-        if self._derive_probes:
-            # Pure-HIT instrumentation: every probe executed incremented
-            # exactly one map cell by one and cost exactly one tick, so the
-            # accounting is the map total (computed before reconstruction —
-            # pruned probes were genuinely not executed).
-            probes = sum(result.hits.values())
-            result.probe_count = probes
-            result.probe_cost = probes
+        if self._pure_hit:
+            # Charged before reconstruction: pruned probes were genuinely
+            # not executed.
+            charge_hits(result)
         if self._reconstruct is not None and result.trap is None and not result.timeout:
             # Complete executions obey flow conservation, so every pruned
             # probe's count is the recorded signed combination of kept
@@ -468,23 +467,6 @@ def execute(
         call_depth_limit=call_depth_limit,
         cmplog=cmplog,
     )
-
-
-def _pure_hit(instrumentation):
-    """True when every probe action in the program is a plain HIT."""
-    if instrumentation is None:
-        return True
-    for tables in (instrumentation.edge_actions, instrumentation.ret_actions):
-        for table in tables:
-            for acts in table.values():
-                for act in acts:
-                    if act[0] != ACT_HIT:
-                        return False
-    for acts in instrumentation.entry_actions:
-        for act in acts:
-            if act[0] != ACT_HIT:
-                return False
-    return True
 
 
 # -- compilation cache ---------------------------------------------------------
@@ -679,15 +661,13 @@ def generate_sources(
     """
     if live is None:
         live = {}
-    derive = _pure_hit(instrumentation)
     # Probe accounting lives in locals _pn/_pk unless it is derivable from
     # the coverage map afterwards (pure-HIT instrumentation).  The flag is
     # program-wide: an inlined callee's probes land in the caller's locals.
-    probe_locals = instrumentation is not None and not derive
+    probe_locals = instrumentation is not None and not instrumentation.pure_hit
     return [
         _FunctionEmitter(
-            program, func, instrumentation, prune, cmplog, derive, probe_locals,
-            live, fast,
+            program, func, instrumentation, prune, cmplog, probe_locals, live, fast
         ).emit()
         for func in program.funcs
     ]
@@ -748,7 +728,6 @@ class _FunctionEmitter:
         instrumentation,
         prune,
         cmplog,
-        derive_probes,
         probe_locals,
         live,
         fast=False,
@@ -759,7 +738,6 @@ class _FunctionEmitter:
         self.prune = prune
         self.cmplog = cmplog
         self.fast = fast
-        self.derive_probes = derive_probes
         self.mask = instrumentation.map_mask if instrumentation is not None else 0
         self.pair_paths = bool(
             instrumentation is not None and instrumentation.pair_paths

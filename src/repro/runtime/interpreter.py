@@ -17,6 +17,12 @@ The VM additionally counts executed instructions (the virtual-time basis) and
 executed probe actions, enforces an instruction budget (hangs), a call-depth
 limit (stack overflow), and — when ``cmplog`` is requested — harvests
 comparison operands for the input-to-state mutation stage.
+
+Under a *pure-HIT* instrumentation (every probe site one HIT; see
+:meth:`~repro.coverage.feedback.Instrumentation.finalize`) a probe is one
+map update and nothing else: the edge rows hold map indices instead of
+action tuples, and :func:`charge_hits` derives both probe totals from the
+map after the run.
 """
 
 from repro.cfg.instructions import (
@@ -121,6 +127,18 @@ class ExecutionResult:
         )
 
 
+def charge_hits(result):
+    """Charge a pure-HIT run's probes from its coverage map.
+
+    Every pure-HIT probe added one to one map cell and costs
+    ``PROBE_COSTS[ACT_HIT] == 1`` tick, so the probe count and the probe
+    cost both equal the map total.  Every executor keeps no per-probe
+    tallies under such an instrumentation and calls this once per run.
+    """
+    result.probe_count = result.probe_cost = sum(result.hits.values())
+    return result
+
+
 def execute(
     program,
     input_bytes,
@@ -152,6 +170,7 @@ class _Exec:
         self._ngram_ring = []
         self._ngram_n = instrumentation.ngram_n if instrumentation else 1
         self._pair_paths = bool(instrumentation and getattr(instrumentation, "pair_paths", False))
+        self._pure_hit = instrumentation is not None and instrumentation.pure_hit
         self._last_path_idx = 0x1505
         self._hpath_state = 0x811C9DC5
 
@@ -166,7 +185,11 @@ class _Exec:
             trap = caught
         except Timeout:
             timeout = True
-        return ExecutionResult(
+        return self._result(retval, trap, timeout)
+
+    def _result(self, retval, trap, timeout):
+        """The finished run's ExecutionResult."""
+        result = ExecutionResult(
             retval,
             trap,
             timeout,
@@ -176,6 +199,7 @@ class _Exec:
             self._hits,
             self._cmp_log,
         )
+        return charge_hits(result) if self._pure_hit else result
 
     # -- trap helpers --------------------------------------------------------
 
@@ -198,6 +222,7 @@ class _Exec:
         hits = self._hits
         probe_acc = self._probe_acc
         probe_costs = PROBE_COSTS
+        pure = self._pure_hit
         regs = [0] * func.nregs
         regs[: len(args)] = args
         if self._instr is not None:
@@ -206,7 +231,11 @@ class _Exec:
             enacts = self._instr.entry_actions[func_index]
             mask = self._instr.map_mask
             if enacts:
-                self._run_actions(enacts, 0, mask)
+                if pure:
+                    idx = enacts[0][1]
+                    hits[idx] = hits.get(idx, 0) + 1
+                else:
+                    self._run_actions(enacts, 0, mask)
         else:
             erows = racts = None
             mask = 0
@@ -355,45 +384,49 @@ class _Exec:
                 if racts is not None:
                     acts = racts.get(cur)
                     if acts:
-                        self._run_actions(acts, pathreg, mask)
+                        if pure:
+                            idx = acts[0][1]
+                            hits[idx] = hits.get(idx, 0) + 1
+                        else:
+                            self._run_actions(acts, pathreg, mask)
                 value = term[1]
                 return 0 if value == -1 else regs[value]
             if erows is not None:
                 row = erows[cur]
                 if row is not None:
-                    acts = row.get(nxt)
-                    if acts:
-                        # Inlined action dispatch: the two hot kinds (edge
-                        # hit, Ball-Larus increment) avoid a function call.
-                        for act in acts:
-                            kind = act[0]
-                            probe_acc[0] += 1
-                            probe_acc[1] += probe_costs[kind]
-                            if kind == 0:  # ACT_HIT
-                                idx = act[1]
-                                if idx in hits:
-                                    hits[idx] += 1
-                                else:
-                                    hits[idx] = 1
-                            elif kind == 1:  # ACT_ADD
-                                pathreg += act[1]
-                            elif kind == 2:  # ACT_END_RESET
-                                idx = ((pathreg + act[1]) ^ act[3]) & mask
-                                if idx in hits:
-                                    hits[idx] += 1
-                                else:
-                                    hits[idx] = 1
-                                pathreg = act[2]
-                                if self._pair_paths:
-                                    pair = (
-                                        (self._last_path_idx * 0x9E3779B1) ^ idx
-                                    ) & mask
-                                    hits[pair] = hits.get(pair, 0) + 1
-                                    self._last_path_idx = idx
-                            else:  # rare kinds: ngram / hpath / ret-end
-                                probe_acc[0] -= 1
-                                probe_acc[1] -= probe_costs[kind]
-                                pathreg = self._run_one_action(act, pathreg, mask)
+                    if pure:
+                        # A pure-HIT row holds the edge's map index.
+                        idx = row.get(nxt)
+                        if idx is not None:
+                            hits[idx] = hits.get(idx, 0) + 1
+                    else:
+                        acts = row.get(nxt)
+                        if acts:
+                            # Inlined action dispatch: the two hot kinds (edge
+                            # hit, Ball-Larus increment) avoid a function call.
+                            for act in acts:
+                                kind = act[0]
+                                probe_acc[0] += 1
+                                probe_acc[1] += probe_costs[kind]
+                                if kind == 0:  # ACT_HIT
+                                    idx = act[1]
+                                    hits[idx] = hits.get(idx, 0) + 1
+                                elif kind == 1:  # ACT_ADD
+                                    pathreg += act[1]
+                                elif kind == 2:  # ACT_END_RESET
+                                    idx = ((pathreg + act[1]) ^ act[3]) & mask
+                                    hits[idx] = hits.get(idx, 0) + 1
+                                    pathreg = act[2]
+                                    if self._pair_paths:
+                                        pair = (
+                                            (self._last_path_idx * 0x9E3779B1) ^ idx
+                                        ) & mask
+                                        hits[pair] = hits.get(pair, 0) + 1
+                                        self._last_path_idx = idx
+                                else:  # rare kinds: ngram / hpath / ret-end
+                                    probe_acc[0] -= 1
+                                    probe_acc[1] -= probe_costs[kind]
+                                    pathreg = self._run_one_action(act, pathreg, mask)
             cur = nxt
 
     def _run_actions(self, acts, pathreg, mask):

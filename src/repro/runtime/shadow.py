@@ -8,7 +8,8 @@ expression.  :class:`ShadowExec` is that replay, written once.  Its
 concrete side mirrors ``_Exec`` exactly — instruction and probe
 accounting, traps, cmplog — so a shadow run's
 :class:`~repro.runtime.interpreter.ExecutionResult` is bit-identical to a
-plain interpretation of the same input.  Probe actions run through the
+plain interpretation of the same input.  Pure-HIT probes are the same
+one map update as in ``_Exec``; other probe actions run through the
 out-of-line ``_run_actions`` helper, accounting-identical to the inlined
 copy that ``_Exec`` keeps for speed.
 
@@ -78,7 +79,6 @@ from repro.runtime import traps
 from repro.runtime.interpreter import (
     _BUILTIN_DISPATCH,
     CMPLOG_CAP,
-    ExecutionResult,
     _c_div,
     _c_mod,
     _Exec,
@@ -153,17 +153,7 @@ class ShadowExec(_Exec):
             trap = caught
         except Timeout:
             timeout = True
-        result = ExecutionResult(
-            retval,
-            trap,
-            timeout,
-            self._count,
-            self._probe_acc[0],
-            self._probe_acc[1],
-            self._hits,
-            self._cmp_log,
-        )
-        return result, self._finish(len(input_bytes))
+        return self._result(retval, trap, timeout), self._finish(len(input_bytes))
 
     # -- domain hooks: the empty domain ----------------------------------------
 
@@ -239,6 +229,8 @@ class ShadowExec(_Exec):
         cmplog = self._cmplog
         observe_cmp = cmplog or on_cmp is not None
         cmp_log = self._cmp_log
+        hits = self._hits
+        pure = self._pure_hit
         regs = [0] * func.nregs
         regs[: len(args)] = args
         sregs = [None] * func.nregs
@@ -250,7 +242,11 @@ class ShadowExec(_Exec):
             enacts = self._instr.entry_actions[func_index]
             mask = self._instr.map_mask
             if enacts:
-                self._run_actions(enacts, 0, mask)
+                if pure:
+                    idx = enacts[0][1]
+                    hits[idx] = hits.get(idx, 0) + 1
+                else:
+                    self._run_actions(enacts, 0, mask)
         else:
             erows = racts = None
             mask = 0
@@ -444,7 +440,11 @@ class ShadowExec(_Exec):
                 if racts is not None:
                     acts = racts.get(cur)
                     if acts:
-                        self._run_actions(acts, pathreg, mask)
+                        if pure:
+                            idx = acts[0][1]
+                            hits[idx] = hits.get(idx, 0) + 1
+                        else:
+                            self._run_actions(acts, pathreg, mask)
                 value = term[1]
                 if value == -1:
                     self._sret = None
@@ -454,9 +454,14 @@ class ShadowExec(_Exec):
             if erows is not None:
                 row = erows[cur]
                 if row is not None:
-                    acts = row.get(nxt)
-                    if acts:
-                        pathreg = self._run_actions(acts, pathreg, mask)
+                    if pure:
+                        idx = row.get(nxt)
+                        if idx is not None:
+                            hits[idx] = hits.get(idx, 0) + 1
+                    else:
+                        acts = row.get(nxt)
+                        if acts:
+                            pathreg = self._run_actions(acts, pathreg, mask)
             cur = nxt
 
     def _steer_access(self, arr, sarr, sidx):
