@@ -89,10 +89,8 @@ class Instrumentation:
         executor charges such probes from the map after the run
         (:func:`~repro.runtime.interpreter.charge_hits`), the compiled
         backend emits no per-probe accounting, and probe pruning applies.
-
-        ``edge_rows[f][src]`` maps ``dst`` to the edge's actions, so the VM
-        looks them up without allocating a ``(src, dst)`` tuple per
-        transition.  Under pure-HIT the row value is the map index itself.
+        Under pure-HIT an edge row's value is the map index itself, not the
+        action tuple.
         """
         sites = [
             acts

@@ -13,13 +13,12 @@ differentially tested against it (same return values, traps, coverage
 maps, Ball-Larus path ids, instruction accounting) and any divergence is a
 compiler bug, never a spec change.
 
-A :class:`Backend` additionally owns the compile-only throughput layers so
-callers need no backend-specific branches:
-
-- ``probe_prune=True`` applies flow-conservation probe elision
-  (:func:`repro.coverage.prune.build_prune_plan`) at compile time; counts
-  of elided probes are reconstructed after each complete run, so observed
-  coverage maps are unchanged while ``probe_cost`` drops.
+A :class:`Backend` additionally owns the compile-only throughput layer so
+callers need no backend-specific branches: ``probe_prune=True`` applies
+flow-conservation probe elision
+(:func:`repro.coverage.prune.build_prune_plan`) at compile time; counts of
+elided probes are reconstructed after each complete run, so observed
+coverage maps are unchanged while ``probe_cost`` drops.
 """
 
 import os

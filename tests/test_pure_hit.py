@@ -93,10 +93,11 @@ def test_fast_path_equals_generic_path(name, feedback):
     inputs += [bug.witness for bug in subject.bugs]
     for data in inputs:
         for cmplog in (False, True):
-            expected = interpreter.execute(program, data, generic, budget, depth, cmplog)
-            got = interpreter.execute(program, data, fast, budget, depth, cmplog)
+            limits = (budget, depth, cmplog)
+            expected = interpreter.execute(program, data, generic, *limits)
+            got = interpreter.execute(program, data, fast, *limits)
             assert result_key(got) == result_key(expected)
-            shadow, _ = taint_execute(program, data, fast, budget, depth, cmplog)
+            shadow, _ = taint_execute(program, data, fast, *limits)
             assert result_key(shadow) == result_key(expected)
-            shadow, _ = taint_execute(program, data, generic, budget, depth, cmplog)
+            shadow, _ = taint_execute(program, data, generic, *limits)
             assert result_key(shadow) == result_key(expected)

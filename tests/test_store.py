@@ -237,6 +237,7 @@ def test_lock_is_never_visible_without_its_payload(tmp_path, monkeypatch):
     finally:
         release.set()
         first.join(10)
+    assert not first.is_alive()
     assert sorted(outcomes.values()) == ["locked", "ok"]
     winner = next(epoch for epoch, out in outcomes.items() if out == "ok")
     assert read_lock_record(os.path.join(directory, LOCK_NAME)).epoch == winner
