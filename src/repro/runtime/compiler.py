@@ -8,8 +8,19 @@ once, then executes the compiled closures instead:
 - registers become Python locals (``r0``, ``r1``, ...), so operand access is
   a fast-local load instead of a list index through a tuple field;
 - operators are bound at compile time — each BIN/UN instruction becomes the
-  one arithmetic expression it denotes, with a branchless 64-bit wrap
-  (``((v + 2**63) & (2**64-1)) - 2**63``) inlined;
+  one arithmetic expression it denotes.  Results that can leave the int64
+  range assign the plain Python value and then wrap it
+  (``((v + 2**63) & (2**64-1)) - 2**63``) only if a range guard finds it
+  outside [-2**63, 2**63 - 1]: the wrap is three long operations, and
+  overflow is rare;
+- string literals are codegen operands: each pool entry's bytes are a
+  module constant (pool arrays never change — every write path traps on
+  them first), bounds checks with literal offsets and counts are decided at
+  codegen, constant windows are hoisted as constant lists, and ``len``,
+  reads and literal-only ``memcmp`` fold.  The ``ArrayRef`` itself is built
+  only where the register escapes (a call argument, a stored or returned
+  value, a compare, a builtin that is not inlined, a dispatch label where
+  it is live), once per dynamic STR, so identity is the interpreter's;
 - basic blocks are threaded directly: single-predecessor successors are
   inlined after their predecessor's terminator (straight-line chains and
   if/else diamonds compile to straight-line Python), and only join points
@@ -19,7 +30,8 @@ once, then executes the compiled closures instead:
 - bookkeeping the interpreter pays per step is hoisted: the instruction
   counter and probe accounting live in function-local integers, flushed to
   the shared cells only around calls, traps, and returns (every point where
-  another frame or the harness can observe them);
+  another frame or the harness can observe them); a trap exit is one
+  ``rt._trap_at`` call that flushes and raises;
 - for pure-HIT instrumentation (edge/block: one HIT per probe site, as
   decided by :meth:`~repro.coverage.feedback.Instrumentation.finalize`),
   per-probe accounting disappears entirely — each HIT increments exactly
@@ -95,6 +107,7 @@ from repro.cfg.instructions import (
     STORE,
     STR,
     UN,
+    instr_uses,
 )
 from repro.analysis.foldops import fold_binop, fold_unop
 from repro.lang.builtins_spec import BUILTIN_NAMES
@@ -176,6 +189,18 @@ class _Rt(_Exec):
 
     def _call(self, func_index, args):
         return self._compiled[func_index](self, *args)
+
+    def _trap_at(self, kind, func_name, line, detail, n, pn=0, pk=0):
+        """A generated trap exit: flush the frame's local tallies, then trap.
+
+        One call per exit instead of three or four inline stores keeps the
+        generated text (and so ``compile()`` time) small; traps are rare,
+        so the extra frame is paid almost never."""
+        self._count_cell[0] = n
+        acc = self._probe_acc
+        acc[0] += pn
+        acc[1] += pk
+        self._trap(kind, func_name, line, detail)
 
     def _reset(self, compiled, instr_budget, call_depth_limit, cmplog):
         """Restore pristine per-execution state (cheaper than __init__).
@@ -716,6 +741,10 @@ class _FunctionEmitter:
       proven array (alloc/string results, passed checks).  Proofs elide the
       interpreter's dynamic class/readonly checks and the TypeError guards;
       a statically failing check compiles to its unconditional trap.
+    - ``lit``: registers holding a string literal, as (pool index, STR
+      definition).  Loads, ``len``, reads and ``memcmp`` read the pool
+      constant; the ref is deferred in ``pend`` like a constant and built
+      once per definition for every register holding it (see ``_escape``).
 
     State is forked at branches, threaded through inlined successors, and
     reset at dispatch labels (whose predecessors are unknown).
@@ -776,9 +805,13 @@ class _FunctionEmitter:
         self.pend = set()
         self.kind = {}
         self.buf = {}
+        self.lit = {}
         self.prv = None
         self._dead = False
         self._live_cache = live
+        # String-pool constants, by pool index or (index, offset, length).
+        self._pool_consts = {}
+        self._str_defs = 0
 
     # -- small helpers ----------------------------------------------------
 
@@ -791,9 +824,17 @@ class _FunctionEmitter:
         self.const_lines.append("%s = %r" % (name, value))
         return name
 
-    def _wrap_expr(self, expr):
-        """Branchless signed-64-bit wrap of ``expr`` (== values.wrap_int)."""
-        return "((%s + %d) & %d) - %d" % (expr, _SIGN, _U64, _SIGN)
+    def _emit_wrapped(self, out, ind, rd, expr):
+        """``rd = expr`` wrapped to signed 64 bits (== values.wrap_int).
+
+        The wrap costs three long operations and overflow is rare, so it
+        runs only when the result leaves the int64 range.  Every operator
+        keeps the guard, BNOT and MOD included: an integer literal outside
+        the range reaches registers unwrapped, so operands are not always
+        int64."""
+        out.append(ind + "%s = %s" % (rd, expr))
+        out.append(ind + "if %s > %d or %s < %d:" % (rd, _SIGN - 1, rd, -_SIGN))
+        out.append(ind + "    %s = ((%s + %d) & %d) - %d" % (rd, rd, _SIGN, _U64, _SIGN))
 
     def _flush_lines(self, ind, zero=False):
         """Sync local counters to the shared cells (observation points)."""
@@ -807,10 +848,11 @@ class _FunctionEmitter:
         return lines
 
     def _emit_trap(self, out, ind, kind, line, detail_expr):
-        out.extend(self._flush_lines(ind))
+        tallies = "_n, _pn, _pk" if self.probe_locals else "_n"
         out.append(
             ind
-            + "rt._trap(traps.%s, %s, %d, %s)" % (kind, self.fname, line, detail_expr)
+            + "rt._trap_at(traps.%s, %s, %d, %s, %s)"
+            % (kind, self.fname, line, detail_expr, tallies)
         )
 
     def _static_trap(self, out, ind, kind, line, detail_expr):
@@ -857,13 +899,20 @@ class _FunctionEmitter:
         self.pend = set()
         self.kind = {}
         self.buf = {}
+        self.lit = {}
         # Known value of the path register on this path (None = dynamic).
         self.prv = None
 
     def _use(self, index):
         name = self._r(index)
         value = self.env.get(name)
-        return name if value is None else repr(value)
+        if value is not None:
+            return repr(value)
+        if name in self.lit and name in self.pend:
+            # Every escape point materializes first (see _escape); reading
+            # the local here would see a stale or unbound value.
+            raise AssertionError("string literal %s read before it escaped" % name)
+        return name
 
     def _setc(self, index, value):
         name = self._r(index)
@@ -871,6 +920,17 @@ class _FunctionEmitter:
         self.pend.add(name)
         self.kind[name] = "int"
         self.buf.pop(name, None)
+        self.lit.pop(name, None)
+
+    def _setlit(self, index, pool):
+        """``reg = "..."`` (STR): a deferred ref to string-pool entry
+        ``pool``, built only if the register escapes (see _escape).  ``lit``
+        maps the register to ``(pool, definition)``: moves copy the pair, so
+        every register holding one dynamic STR's value gets the same ref."""
+        name = self._def(index, "sarr")
+        self._str_defs += 1
+        self.lit[name] = (pool, self._str_defs)
+        self.pend.add(name)
 
     def _def(self, index, kind=None):
         name = self._r(index)
@@ -881,6 +941,41 @@ class _FunctionEmitter:
         else:
             self.kind[name] = kind
         self.buf.pop(name, None)
+        self.lit.pop(name, None)
+        return name
+
+    def _escape(self, out, ind, regs):
+        """Build the deferred string refs among ``regs`` before their value
+        is observable: a call argument, a stored value, a return value, a
+        branch condition, a comparison or arithmetic operand, an index, an
+        argument of a builtin that is not inlined.  At most once per dynamic
+        STR: the built ref stays in every register holding it, so ``s ==
+        s`` holds while two evaluations of one literal differ."""
+        need = self.lit.keys() & self.pend & {self._r(reg) for reg in regs}
+        if need:
+            self._materialize(out, ind, need)
+
+    def _pool(self, reg):
+        """The string-pool index ``reg`` holds, if known at codegen."""
+        entry = self.lit.get(self._r(reg))
+        return None if entry is None else entry[0]
+
+    def _literal(self, reg):
+        """The string-pool bytes ``reg`` holds, if known at codegen."""
+        pool = self._pool(reg)
+        return None if pool is None else self.program.strings[pool]
+
+    def _pool_const(self, pool, off=0, n=None):
+        """Module constant holding string ``pool``'s list, or its window
+        ``[off, off + n)``.  Pool lists never change (every write path traps
+        on them first), and a window of a list compares equal only to a
+        list, so constants are lists."""
+        data = self.program.strings[pool]
+        key = pool if off == 0 and n in (None, len(data)) else (pool, off, n)
+        name = self._pool_consts.get(key)
+        if name is None:
+            name = self._const(list(data) if n is None else list(data[off : off + n]))
+            self._pool_consts[key] = name
         return name
 
     def _buffer(self, out, ind, reg):
@@ -890,7 +985,11 @@ class _FunctionEmitter:
         ``copy``/``fill``/STORE mutate the list in place, and nothing —
         including calls — rebinds an existing array id.  The binding dies
         with the register (``_def``/``_setc``) and forks with the rest of
-        the per-path abstract state at branches."""
+        the per-path abstract state at branches.  A string literal's list
+        is a module constant, and needs no ref at all."""
+        pool = self._pool(reg)
+        if pool is not None:
+            return self._pool_const(pool)
         name = self._r(reg)
         local = self.buf.get(name)
         if local is None:
@@ -900,9 +999,23 @@ class _FunctionEmitter:
         return local
 
     def _materialize(self, out, ind, need):
-        """Emit deferred constant stores for the registers in ``need``."""
-        for name in sorted(self.pend & need):
-            out.append(ind + "%s = %d" % (name, self.env[name]))
+        """Emit deferred constant and string-ref stores for ``need``.
+
+        A string ref is built once for every pending register holding the
+        same STR's value, so the registers stay one object."""
+        need = self.pend & need
+        lit = self.lit
+        defs = {lit[name] for name in need if name in lit}
+        if defs:
+            need |= {name for name in self.pend if lit.get(name) in defs}
+        refs = {}
+        for name in sorted(need):
+            if name in lit:
+                refs.setdefault(lit[name], []).append(name)
+            else:
+                out.append(ind + "%s = %d" % (name, self.env[name]))
+        for (pool, _), names in refs.items():
+            out.append(ind + "%s = ArrayRef(%d, True)" % (" = ".join(names), pool))
         self.pend -= need
 
     # -- probe actions ----------------------------------------------------
@@ -982,8 +1095,38 @@ class _FunctionEmitter:
 
     # -- instructions -----------------------------------------------------
 
+    # Operand positions that consume a string literal without building its
+    # ref: the array of a LOAD/STORE and the arrays of inlined builtins.
+    _LITERAL_ARGS = {
+        "len": (0,),
+        "memcmp": (0, 2),
+        "read16": (0,),
+        "read32": (0,),
+        "read16le": (0,),
+        "read32le": (0,),
+    }
+
+    def _escaping(self, ins):
+        """Registers whose value ``ins`` observes beyond a literal's bytes.
+        A move observes nothing: it copies the deferral (see _setlit)."""
+        op = ins[0]
+        if op == MOV:
+            return ()
+        if op == LOAD:
+            return (ins[3],)
+        if op == STORE:
+            return (ins[2], ins[3])
+        if op == BUILTIN:
+            name = BUILTIN_NAMES[ins[2]]
+            if name in self._BUILTIN_INLINE:
+                keep = self._LITERAL_ARGS.get(name, ())
+                return [reg for i, reg in enumerate(ins[3]) if i not in keep]
+        return instr_uses(ins)
+
     def _emit_instr(self, ins, out, ind):
         op = ins[0]
+        if self.lit:
+            self._escape(out, ind, self._escaping(ins))
         if op == CONST:
             self._setc(ins[1], ins[2])
         elif op == MOV:
@@ -992,7 +1135,15 @@ class _FunctionEmitter:
                 self._setc(ins[1], self.env[src])
             else:
                 kind = self.kind.get(src)
-                out.append(ind + "%s = %s" % (self._def(ins[1], kind), src))
+                entry = self.lit.get(src)
+                deferred = src in self.pend
+                dst = self._def(ins[1], kind)
+                if entry is not None:
+                    self.lit[dst] = entry
+                if deferred:
+                    self.pend.add(dst)
+                else:
+                    out.append(ind + "%s = %s" % (dst, src))
         elif op == BIN:
             self._emit_bin(ins, out, ind)
         elif op == UN:
@@ -1030,9 +1181,7 @@ class _FunctionEmitter:
             )
             out.append(ind + "_n = _ic[0]")
         else:  # STR
-            out.append(
-                ind + "%s = ArrayRef(%d, True)" % (self._def(ins[1], "sarr"), ins[2])
-            )
+            self._setlit(ins[1], ins[2])
 
     _CMP_OPS = {OP_LT: "<", OP_LE: "<=", OP_GT: ">", OP_GE: ">="}
     _BIT_OPS = {OP_AND: "&", OP_OR: "|", OP_XOR: "^"}
@@ -1084,32 +1233,9 @@ class _FunctionEmitter:
                 inner
                 + "%s = 1 if %s %s %s else 0" % (target, ra, self._CMP_OPS[binop], rb)
             )
-        elif binop in (OP_ADD, OP_SUB):
-            # One constant operand folds into the wrap bias; the add/sub and
-            # the bias addition collapse into a single +constant.
-            if vb is not None:
-                bias = _SIGN + vb if binop == OP_ADD else _SIGN - vb
-                out.append(
-                    inner + "%s = ((%s + %d) & %d) - %d" % (rd, ra, bias, _U64, _SIGN)
-                )
-            elif va is not None and binop == OP_ADD:
-                out.append(
-                    inner
-                    + "%s = ((%s + %d) & %d) - %d" % (rd, rb, _SIGN + va, _U64, _SIGN)
-                )
-            elif va is not None:
-                out.append(
-                    inner
-                    + "%s = ((%d - %s) & %d) - %d" % (rd, _SIGN + va, rb, _U64, _SIGN)
-                )
-            else:
-                op_ch = "+" if binop == OP_ADD else "-"
-                out.append(
-                    inner
-                    + "%s = %s" % (rd, self._wrap_expr("%s %s %s" % (ra, op_ch, rb)))
-                )
-        elif binop == OP_MUL:
-            out.append(inner + "%s = %s" % (rd, self._wrap_expr("%s * %s" % (ra, rb))))
+        elif binop in (OP_ADD, OP_SUB, OP_MUL):
+            op_ch = "+" if binop == OP_ADD else "-" if binop == OP_SUB else "*"
+            self._emit_wrapped(out, inner, rd, "%s %s %s" % (ra, op_ch, rb))
         elif binop in self._BIT_OPS:
             out.append(inner + "%s = %s %s %s" % (rd, ra, self._BIT_OPS[binop], rb))
         elif binop in (OP_DIV, OP_MOD):
@@ -1123,27 +1249,18 @@ class _FunctionEmitter:
                     '"division by zero"' if binop == OP_DIV else '"modulo by zero"'
                 )
                 self._emit_trap(out, inner + "    ", "DIV_BY_ZERO", line, detail)
-                out.append(
-                    inner
-                    + "_w = %s // %s if (%s >= 0) == (%s >= 0) else -(%s // -%s)"
-                    % (ra, rb, ra, rb, ra, rb)
+                quot = "%s // %s if (%s >= 0) == (%s >= 0) else -(%s // -%s)" % (
+                    ra, rb, ra, rb, ra, rb,
                 )
             elif vb > 0:
-                out.append(
-                    inner
-                    + "_w = %s // %d if %s >= 0 else -(%s // %d)" % (ra, vb, ra, ra, -vb)
-                )
+                quot = "%s // %d if %s >= 0 else -(%s // %d)" % (ra, vb, ra, ra, -vb)
             else:
-                out.append(
-                    inner
-                    + "_w = %s // %d if %s < 0 else -(%s // %d)" % (ra, vb, ra, ra, -vb)
-                )
+                quot = "%s // %d if %s < 0 else -(%s // %d)" % (ra, vb, ra, ra, -vb)
             if binop == OP_DIV:
-                out.append(inner + "%s = %s" % (rd, self._wrap_expr("_w")))
+                self._emit_wrapped(out, inner, rd, quot)
             else:
-                out.append(
-                    inner + "%s = %s" % (rd, self._wrap_expr("%s - _w * %s" % (ra, rb)))
-                )
+                out.append(inner + "_w = " + quot)
+                self._emit_wrapped(out, inner, rd, "%s - _w * %s" % (ra, rb))
         else:  # OP_SHL / OP_SHR
             if vb is None:
                 out.append(inner + "if %s < 0 or %s > 63:" % (rb, rb))
@@ -1151,9 +1268,7 @@ class _FunctionEmitter:
                     out, inner + "    ", "SHIFT_RANGE", line, '"shift by %%d" %% %s' % rb
                 )
             if binop == OP_SHL:
-                out.append(
-                    inner + "%s = %s" % (rd, self._wrap_expr("(%s << %s)" % (ra, rb)))
-                )
+                self._emit_wrapped(out, inner, rd, "%s << %s" % (ra, rb))
             else:
                 out.append(inner + "%s = %s >> %s" % (rd, ra, rb))
         if not safe:
@@ -1188,10 +1303,7 @@ class _FunctionEmitter:
         if not safe:
             out.append(ind + "try:")
             inner = ind + "    "
-        if unop == OP_NEG:
-            out.append(inner + "%s = %s" % (rd, self._wrap_expr("-%s" % ra)))
-        else:  # OP_BNOT
-            out.append(inner + "%s = %s" % (rd, self._wrap_expr("~%s" % ra)))
+        self._emit_wrapped(out, inner, rd, ("-%s" if unop == OP_NEG else "~%s") % ra)
         if not safe:
             out.append(ind + "except TypeError:")
             self._emit_trap(
@@ -1203,10 +1315,15 @@ class _FunctionEmitter:
         if not self._check_array(out, ind, arr, line, '"indexing a non-array"'):
             return
         buf = self._buffer(out, ind, arr)
-        if not self._emit_index_check(out, ind, idx, line, "OOB_READ", buf):
+        data = self._literal(arr)
+        if not self._emit_index_check(out, ind, idx, line, "OOB_READ", buf, data):
             return
         idx_expr = self._use(idx)
-        out.append(ind + "%s = %s[%s]" % (self._def(dst), buf, idx_expr))
+        if data is not None and _is_lit(idx_expr):
+            self._setc(dst, data[int(idx_expr)])
+            return
+        kind = "int" if data is not None else None
+        out.append(ind + "%s = %s[%s]" % (self._def(dst, kind), buf, idx_expr))
 
     def _emit_store(self, ins, out, ind):
         arr, idx, src, line = ins[1], ins[2], ins[3], ins[4]
@@ -1227,32 +1344,38 @@ class _FunctionEmitter:
             return
         out.append(ind + "%s[%s] = %s" % (buf, self._use(idx), self._use(src)))
 
-    def _emit_index_check(self, out, ind, idx, line, trap_kind, buf="_s"):
-        """Bounds (and, unless provably int, class) check for an index."""
+    def _emit_index_check(self, out, ind, idx, line, trap_kind, buf, data=None):
+        """Bounds (and, unless provably int, class) check for an index.
+
+        ``data`` is the array's content when it is a string literal: its
+        length is then a codegen constant, and a literal index is checked
+        here, not at run time."""
+        size = "len(%s)" % buf if data is None else "%d" % len(data)
         iv = self.env.get(self._r(idx))
         if iv is not None:
-            detail = '"index %d of %%d" %% len(%s)' % (iv, buf)
-            if iv < 0:
+            detail = '"index %d of %%d" %% %s' % (iv, size)
+            if iv < 0 or (data is not None and iv >= len(data)):
                 self._static_trap(out, ind, trap_kind, line, detail)
                 return False
-            out.append(ind + "if %d >= len(%s):" % (iv, buf))
-            self._emit_trap(out, ind + "    ", trap_kind, line, detail)
+            if data is None:
+                out.append(ind + "if %d >= %s:" % (iv, size))
+                self._emit_trap(out, ind + "    ", trap_kind, line, detail)
             return True
         name = self._r(idx)
         if self.kind.get(name) == "int":
-            out.append(ind + "if %s < 0 or %s >= len(%s):" % (name, name, buf))
+            out.append(ind + "if %s < 0 or %s >= %s:" % (name, name, size))
         else:
             out.append(
                 ind
-                + "if %s.__class__ is ArrayRef or %s < 0 or %s >= len(%s):"
-                % (name, name, name, buf)
+                + "if %s.__class__ is ArrayRef or %s < 0 or %s >= %s:"
+                % (name, name, name, size)
             )
         self._emit_trap(
             out,
             ind + "    ",
             trap_kind,
             line,
-            '"index %%r of %%d" %% (%s, len(%s))' % (name, buf),
+            '"index %%r of %%d" %% (%s, %s)' % (name, size),
         )
         self.kind[name] = "int"
         return True
@@ -1297,6 +1420,10 @@ class _FunctionEmitter:
     def _inline_len(self, out, ind, dst, a, line):
         if not self._check_array(out, ind, a[0], line):
             return
+        data = self._literal(a[0])
+        if data is not None:
+            self._setc(dst, len(data))
+            return
         buf = self._buffer(out, ind, a[0])
         out.append(ind + "%s = len(%s)" % (self._def(dst, "int"), buf))
 
@@ -1307,11 +1434,7 @@ class _FunctionEmitter:
             return
         if not self._check_int(out, ind, a[0], line):
             return
-        out.append(
-            ind
-            + "%s = %s"
-            % (self._def(dst, "int"), self._wrap_expr("_abs(%s)" % self._r(a[0])))
-        )
+        self._emit_wrapped(out, ind, self._def(dst, "int"), "_abs(%s)" % self._r(a[0]))
 
     def _inline_min(self, out, ind, dst, a, line):
         va = self.env.get(self._r(a[0]))
@@ -1356,6 +1479,45 @@ class _FunctionEmitter:
         out.append(ind + "_n += %s >> 4" % expr)
         out.append(ind + "%s = _a" % self._def(dst, "warr"))
 
+    def _emit_window_check(self, out, ind, reg, buf, off, n, line, check_n=True):
+        """The interpreter's ``_bounded_slice`` check of window ``[off, off +
+        n)`` of ``reg``'s array: ``off < 0 or n < 0 or off + n > len``.
+        Terms whose operands are codegen constants (literal offsets and
+        counts, a string literal's length) are decided here.  Returns False
+        when the window traps on every execution."""
+        data = self._literal(reg)
+        size = "len(%s)" % buf if data is None else "%d" % len(data)
+        detail = '"range [%%d, %%d) of %%d" %% (%s, %s + %s, %s)' % (off, off, n, size)
+        terms = []
+        for expr in (off, n) if check_n else (off,):
+            if not _is_lit(expr):
+                terms.append("%s < 0" % expr)
+            elif int(expr) < 0:
+                self._static_trap(out, ind, "OOB_READ", line, detail)
+                return False
+        if data is None or not (_is_lit(off) and _is_lit(n)):
+            terms.append("%s + %s > %s" % (off, n, size))
+        elif int(off) + int(n) > len(data):
+            self._static_trap(out, ind, "OOB_READ", line, detail)
+            return False
+        if terms:
+            out.append(ind + "if %s:" % " or ".join(terms))
+            self._emit_trap(out, ind + "    ", "OOB_READ", line, detail)
+        return True
+
+    def _window(self, out, ind, reg, buf, off, n, local):
+        """``(expr, values)`` for the checked window ``[off, off + n)``:
+        a hoisted constant list when it is a window of a string literal at
+        a literal offset and count (``values`` its content), otherwise the
+        slice, bound to ``local`` (``values`` None)."""
+        pool = self._pool(reg)
+        if pool is not None and _is_lit(off) and _is_lit(n):
+            lo, count = int(off), int(n)
+            values = list(self.program.strings[pool][lo : lo + count])
+            return self._pool_const(pool, lo, count), values
+        out.append(ind + "%s = %s[%s : %s + %s]" % (local, buf, off, off, n))
+        return local, None
+
     def _inline_memcmp(self, out, ind, dst, a, line):
         for reg, check in (
             (a[0], self._check_array),
@@ -1368,46 +1530,30 @@ class _FunctionEmitter:
                 return
         aoff, boff, n = self._use(a[1]), self._use(a[3]), self._use(a[4])
         buf_a = self._buffer(out, ind, a[0])
-        terms = []
-        if not (_is_lit(aoff) and int(aoff) >= 0):
-            terms.append("%s < 0" % aoff)
-        if not (_is_lit(n) and int(n) >= 0):
-            terms.append("%s < 0" % n)
-        terms.append("%s + %s > len(%s)" % (aoff, n, buf_a))
-        out.append(ind + "if %s:" % " or ".join(terms))
-        self._emit_trap(
-            out,
-            ind + "    ",
-            "OOB_READ",
-            line,
-            '"range [%%d, %%d) of %%d" %% (%s, %s + %s, len(%s))'
-            % (aoff, aoff, n, buf_a),
-        )
+        if not self._emit_window_check(out, ind, a[0], buf_a, aoff, n, line):
+            return
         # n >= 0 is established by the first window check.
         buf_b = self._buffer(out, ind, a[2])
-        terms = []
-        if not (_is_lit(boff) and int(boff) >= 0):
-            terms.append("%s < 0" % boff)
-        terms.append("%s + %s > len(%s)" % (boff, n, buf_b))
-        out.append(ind + "if %s:" % " or ".join(terms))
-        self._emit_trap(
-            out,
-            ind + "    ",
-            "OOB_READ",
-            line,
-            '"range [%%d, %%d) of %%d" %% (%s, %s + %s, len(%s))'
-            % (boff, boff, n, buf_b),
-        )
+        if not self._emit_window_check(out, ind, a[2], buf_b, boff, n, line, False):
+            return
         out.append(ind + "_n += %s" % n)
-        out.append(ind + "_s = %s[%s : %s + %s]" % (buf_a, aoff, aoff, n))
-        out.append(ind + "_t = %s[%s : %s + %s]" % (buf_b, boff, boff, n))
+        left, lvals = self._window(out, ind, a[0], buf_a, aoff, n, "_s")
+        right, rvals = self._window(out, ind, a[2], buf_b, boff, n, "_t")
         if self.cmplog:
+            logged = []
+            for expr, values in ((left, lvals), (right, rvals)):
+                if values is None:
+                    logged.append("bytes(v & 255 for v in %s)" % expr)
+                else:
+                    logged.append(self._const(bytes(v & 255 for v in values)))
             out.append(ind + "if len(_cl) < %d:" % CMPLOG_CAP)
+            out.append(ind + "    _cl.append((%s, %s))" % tuple(logged))
+        if lvals is not None and rvals is not None:
+            self._setc(dst, 0 if lvals == rvals else 1)
+        else:
             out.append(
-                ind + "    _cl.append((bytes(v & 255 for v in _s),"
-                " bytes(v & 255 for v in _t)))"
+                ind + "%s = 0 if %s == %s else 1" % (self._def(dst, "int"), left, right)
             )
-        out.append(ind + "%s = 0 if _s == _t else 1" % self._def(dst, "int"))
 
     def _inline_read(self, out, ind, dst, a, line, width, big_endian):
         if not self._check_array(out, ind, a[0], line):
@@ -1416,21 +1562,17 @@ class _FunctionEmitter:
             return
         off = self._use(a[1])
         buf = self._buffer(out, ind, a[0])
-        lit = _is_lit(off) and int(off) >= 0
-        if lit:
-            out.append(ind + "if %d > len(%s):" % (int(off) + width, buf))
-        else:
-            out.append(
-                ind + "if %s < 0 or %s + %d > len(%s):" % (off, off, width, buf)
-            )
-        self._emit_trap(
-            out,
-            ind + "    ",
-            "OOB_READ",
-            line,
-            '"range [%%d, %%d) of %%d" %% (%s, %s + %d, len(%s))'
-            % (off, off, width, buf),
-        )
+        if not self._emit_window_check(out, ind, a[0], buf, off, "%d" % width, line):
+            return
+        data = self._literal(a[0])
+        lit = _is_lit(off)
+        if lit and data is not None:
+            window = data[int(off) : int(off) + width]
+            value = 0
+            for byte in window if big_endian else window[::-1]:
+                value = (value << 8) | (byte & 255)
+            self._setc(dst, value)
+            return
         parts = []
         for j in range(width):
             shift = 8 * (width - 1 - j) if big_endian else 8 * j
@@ -1488,6 +1630,7 @@ class _FunctionEmitter:
             self.pend,
             self.kind,
             self.buf,
+            self.lit,
             self.prv,
         )
         self.func = callee
@@ -1521,8 +1664,35 @@ class _FunctionEmitter:
             self.pend,
             self.kind,
             self.buf,
+            self.lit,
             self.prv,
         ) = saved
+
+    def _inline_args(self, out, ind, args):
+        """Caller-side operand, kind and string-literal entry of each
+        argument of an expanded call.  An argument escapes: a deferred
+        string ref is built here, once, and the callee shares it."""
+        if self.lit:
+            self._escape(out, ind, args)
+        names = [self._r(reg) for reg in args]
+        return (
+            [self._use(reg) for reg in args],
+            [self.kind.get(name) for name in names],
+            [self.lit.get(name) for name in names],
+        )
+
+    def _bind_params(self, out, ind, arg_exprs, arg_kinds, arg_lits):
+        """Callee-side parameters of an expansion entered inline: constant
+        arguments seed its environment, and kind and literal proofs carry
+        over."""
+        for pi, (expr, k, entry) in enumerate(zip(arg_exprs, arg_kinds, arg_lits)):
+            if _is_lit(expr):
+                self._setc(pi, int(expr))
+            else:
+                name = self._def(pi, k)
+                out.append(ind + "%s = %s" % (name, expr))
+                if entry is not None:
+                    self.lit[name] = entry
 
     def _inlinable(self, ins):
         """Whether this CALL should be expanded at the site (root ctx only)."""
@@ -1569,15 +1739,10 @@ class _FunctionEmitter:
             out, ind + "    ", "STACK_OVERFLOW", line, '"call depth exceeded"'
         )
         out.append(ind + "_stack.append((%s, %d))" % (self.fname, line))
-        arg_exprs = [self._use(reg) for reg in args]
-        arg_kinds = [self.kind.get(self._r(reg)) for reg in args]
+        arg_exprs, arg_kinds, arg_lits = self._inline_args(out, ind, args)
         ret_name = self._def(dst)
         saved = self._enter_inline(callee, site, self._next_label, _LEAF_CONT, ret_name)
-        for pi, (expr, k) in enumerate(zip(arg_exprs, arg_kinds)):
-            if _is_lit(expr):
-                self._setc(pi, int(expr))
-            else:
-                out.append(ind + "%s = %s" % (self._def(pi, k), expr))
+        self._bind_params(out, ind, arg_exprs, arg_kinds, arg_lits)
         for i in range(callee.nparams, callee.nregs):
             self._setc(i, 0)
         if self._uses_pathreg():
@@ -1639,8 +1804,7 @@ class _FunctionEmitter:
             out, ind + "    ", "STACK_OVERFLOW", line, '"call depth exceeded"'
         )
         out.append(ind + "_stack.append((%s, %d))" % (self.fname, line))
-        arg_exprs = [self._use(reg) for reg in args]
-        arg_kinds = [self.kind.get(self._r(reg)) for reg in args]
+        arg_exprs, arg_kinds, arg_lits = self._inline_args(out, ind, args)
         saved = self._enter_inline(*ctx)
         entry_dispatched = base in self.labels
         if entry_dispatched:
@@ -1657,11 +1821,7 @@ class _FunctionEmitter:
             # Entry emitted inline right here: constant arguments seed the
             # callee's environment, proofs about argument kinds carry over,
             # and the scratch zero-init becomes deferred constants.
-            for pi, (expr, k) in enumerate(zip(arg_exprs, arg_kinds)):
-                if _is_lit(expr):
-                    self._setc(pi, int(expr))
-                else:
-                    out.append(ind + "%s = %s" % (self._def(pi, k), expr))
+            self._bind_params(out, ind, arg_exprs, arg_kinds, arg_lits)
             for i in range(callee.nparams, callee.nregs):
                 self._setc(i, 0)
         if self._uses_pathreg():
@@ -1693,6 +1853,8 @@ class _FunctionEmitter:
         """
         if cond in self._live().exit[block_id]:
             return None
+        if self.lit:
+            self._escape(out, ind, instr_uses(ins))
         if ins[0] == UN:
             if ins[1] != OP_LNOT or ins[2] != cond:
                 return None
@@ -1784,19 +1946,22 @@ class _FunctionEmitter:
             self._emit_goto(block_id, target, out, depth)
         elif top == BR:
             cond_name = self._r(term[1])
+            if fused is None and self.lit:
+                self._escape(out, ind, (term[1],))
             if fused is None and cond_name in self.env:
                 # Statically decided branch: only the taken edge exists.
                 taken = term[2] if self.env[cond_name] != 0 else term[3]
                 self._emit_goto(block_id, taken, out, depth)
                 return
             out.append(ind + "if %s:" % (fused if fused is not None else cond_name))
-            saved = (self.env, self.pend, self.kind, self.buf, self.prv)
+            saved = (self.env, self.pend, self.kind, self.buf, self.lit, self.prv)
             self.env = dict(self.env)
             self.pend = set(self.pend)
             self.kind = dict(self.kind)
             self.buf = dict(self.buf)
+            self.lit = dict(self.lit)
             self._emit_goto(block_id, term[2], out, depth + 1)
-            self.env, self.pend, self.kind, self.buf, self.prv = saved
+            self.env, self.pend, self.kind, self.buf, self.lit, self.prv = saved
             out.append(ind + "else:")
             self._emit_goto(block_id, term[3], out, depth + 1)
         else:  # RET
@@ -1804,6 +1969,8 @@ class _FunctionEmitter:
             if acts:
                 self._emit_actions(acts, out, ind)
             value = term[1]
+            if value != -1 and self.lit:
+                self._escape(out, ind, (value,))
             expr = "0" if value == -1 else self._use(value)
             if self.cont_label is _LEAF_CONT:
                 # Leaf expansion: assign and pop right here; the caller's
