@@ -27,25 +27,25 @@ from repro.runtime.compiler import compile_program, generate_sources
 from repro.subjects import all_subject_names, get_subject
 
 PINNED = {
-    "cflow": "e337ebf968d0b0a20678ca2888f7d7e9d50c6535adbb44bbf8d1e4cff63bd48a",
-    "exiv2": "1d1c177eb0710382caaa11be28d792b3d7838759f524a32c2a5805af08572b65",
-    "ffmpeg": "60b07d5494bd3e6e791a167d92993d56bc2b7e59e758948cc7615c5bb76896f0",
-    "flvmeta": "2a49d19f40a949c4f8b134efd545f4bff9de4b62459387673508295c3b6c94be",
-    "gdk": "daf308a70275a433ef58148f3440a6471f2e555d9bf014566bbacef9ed988b49",
-    "imginfo": "2bb8034c991fcc818f5937b3a7d5225aa05dbbe335d4e01315882a7fe4395a2b",
-    "infotocap": "e28611acbca0e0ea175fad63c429629d7040a9c49e904f89508a9eec18b05183",
-    "jhead": "b6c0b88836a8ecc56f8a7e7eb9ec7f8ced7fb891467e7fb10ebae324b8761f44",
-    "jq": "e29c828f4230b015d57723251b265a5fa445c774ccd6a59df03f50a1c1081050",
-    "lame": "c8975fe5ccb71460eb08aa234b0a7207aed57911dc0fce49a0e94570eddf43d2",
-    "motivating": "7407c20f9d889fb51ae5e4a7b7d86e60e9cdacf2ab160ddbc42ac0956b8236ae",
-    "mp3gain": "157d3009c3cf05db1167b64c02ddc807c8035e9e8931b749947e9984a0d67104",
-    "mp42aac": "ff152382afd9989b8a095e0ef7cbea3dcb884b95f4d6d005c9dbf9223a6026cc",
-    "mujs": "60585386a359403cbecf1f6c06747619ca999a51d4c538941493196b75b2ffc0",
-    "nm_new": "5046c1ca55f4362d7740e2a4f39c15fab6c02cf5131bb5ec3ac992bd59906eba",
-    "objdump": "f732afa4623501cd9cf3de1c17cdbd31e896f11aafa25a8c6a74cc74e4e9ee9d",
-    "pdftotext": "c776c2544dcaddced8ae34e2b518ff74d328ed02ed5596e949507e293f448bb7",
-    "sqlite3": "37138bb766b6ceaca1ee28849167b33bb99159fcf4379b3a7400bb59cca05dc4",
-    "tiffsplit": "187b26759266833fc14f8a1fb4340197bfc6374daa64d0ae2a29315454963b10",
+    "cflow": "bdc5382bb2180a11007ad97b880b2de8f9dae7f713005b19bae504ee6e319d7f",
+    "exiv2": "f876c9a4079791f0667b807560d24d010ca65ce7c0430702412c8a4eb7cfdaf2",
+    "ffmpeg": "207356f8a3edaa74a942f92548383201b49fc046427eb76703e61a385e0ada63",
+    "flvmeta": "89f706b5fe1094d2cf73cd58a41ae4a671e4efc87b4f526fbd0b9d37c5e54a4c",
+    "gdk": "b5d2a0b3c174438cc19abee0f40328b8a826007752a2b6d0b098cab82b1b135f",
+    "imginfo": "80d289a6744db55a9a3a2ad5f54f1c12134df5acc722f1b5b9a594d75ee75446",
+    "infotocap": "064692912c045407653dc9bedd66a43a51c57a52b2495309226f01f0b13d1f53",
+    "jhead": "75c5d1bb8063bde5890d907c21c52126c100a0a16ba4b81be761060df7e77607",
+    "jq": "e70e88eadb8500f51d1f62255643fd989953a1d1ce4d052f8f357854a73aa580",
+    "lame": "a72c5a7dd211d5fc06d76aac00d3fc5ce7afffc1a6550f3384da1a3cd595ae6c",
+    "motivating": "13788411bd09ceaa4f6ebc6ed07f641be23e031cbc9b92e4f5109705b5febe09",
+    "mp3gain": "193c0c00bed1da0266ce0b194e807ed52ddef620883862402ffdb9c890dd89a2",
+    "mp42aac": "d4c04aedf64e998f14ac128f2fc3a18f3b3a75d88b142a959a5a25ce1e7cdb2d",
+    "mujs": "55820c8a70a8fd7e7ead9660bcec8c8dcaf1ddcc9638bfa5b92aa6dd8ba3adcf",
+    "nm_new": "cee0f6da36bda531a05334dd6a5cdfb954fed26da2abd522217f03623ee0e640",
+    "objdump": "b09b627a3a3a4431c6beae960c34971be7e3224221c574269d042416c48a5ee4",
+    "pdftotext": "ab56eaa4af62f363c4fa9f0e9198b83f06d784e2e12d78bbc1ed1ce755774be4",
+    "sqlite3": "d9857309db6ecaff35e8eb98c8e20943536682aab0a2ffdf6117738d70ddad07",
+    "tiffsplit": "4525fc3d01a80d13c0025b99233b6a9947089af374f5515792683a56e75f5d67",
 }
 
 # Every (cmplog, fast) variant a CompiledProgram can build.
