@@ -4,12 +4,17 @@ Hypothesis strategies that build random-but-valid MiniC sources: nested
 ifs/whiles/fors over a small pool of integer variables, short-circuit
 conditions, and array traffic on the input.  Every generated program
 compiles; loops are bounded by construction so executions terminate well
-inside the instruction budget.
+inside the instruction budget: each ``while`` counts in the guard of its
+own nesting depth, so an inner loop never resets an outer loop's counter.
 """
 
 from hypothesis import strategies as st
 
 VARS = ["a", "b", "c"]
+
+# Compound statements (if/while/for) nest below this depth; a while at
+# depth d counts in guard<d>.
+MAX_NEST = 2
 
 
 @st.composite
@@ -35,7 +40,7 @@ def expressions(draw, depth=0):
 
 @st.composite
 def statements(draw, depth=0, in_loop=False):
-    max_kind = 5 if depth < 2 else 2
+    max_kind = 5 if depth < MAX_NEST else 2
     kind = draw(st.integers(0, max_kind))
     if kind == 0:
         var = draw(st.sampled_from(VARS))
@@ -55,12 +60,11 @@ def statements(draw, depth=0, in_loop=False):
             return "if (%s) { %s } else { %s }" % (cond, then, other)
         return "if (%s) { %s }" % (cond, then)
     if kind == 4:
-        # Bounded while: a dedicated counter guarantees termination.
+        # Bounded while: its depth's own counter guarantees termination.
         body = draw(blocks(depth=depth + 1, in_loop=True))
         limit = draw(st.integers(1, 6))
-        return (
-            "guard = 0; while (guard < %d) { guard = guard + 1; %s }"
-            % (limit, body)
+        return "guard%d = 0; while (guard%d < %d) { guard%d = guard%d + 1; %s }" % (
+            depth, depth, limit, depth, depth, body,
         )
     body = draw(blocks(depth=depth + 1, in_loop=True))
     limit = draw(st.integers(1, 5))
@@ -79,13 +83,14 @@ def blocks(draw, depth=0, in_loop=False):
 def programs(draw):
     """A full MiniC source with one generated main()."""
     body = draw(blocks())
+    guards = " ".join("var guard%d = 0;" % depth for depth in range(MAX_NEST))
     return (
         "fn main(input) {\n"
         "    var in0 = 0;\n"
         "    if (len(input) > 0) { in0 = input[0]; }\n"
         "    var a = 1; var b = 2; var c = 3;\n"
-        "    var acc = 0; var guard = 0;\n"
+        "    var acc = 0; %s\n"
         "    %s\n"
         "    return acc + a + b + c;\n"
-        "}\n" % body
+        "}\n" % (guards, body)
     )
