@@ -1,7 +1,23 @@
-"""Consistency tests for the builtin registry and diagnostics."""
+"""Consistency tests for the builtin registry and diagnostics, and the
+builtins' trap rules on every executor."""
 
+import pytest
+
+from repro.analysis.symbolic import extract_path_condition
+from repro.coverage.feedback import feedback_by_name
+from repro.lang import compile_source
 from repro.lang.builtins_spec import BUILTIN_CODES, BUILTIN_NAMES, BUILTINS
 from repro.lang.errors import LexError, MiniCError, ParseError, SemaError
+from repro.runtime import traps
+from repro.runtime.compiler import _Rt, compile_program
+from repro.runtime.interpreter import (
+    DEFAULT_CALL_DEPTH,
+    DEFAULT_INSTR_BUDGET,
+    charge_hits,
+    execute as interp_execute,
+)
+from repro.runtime.values import ArrayRef
+from repro.taint import taint_execute
 
 
 def test_builtin_codes_bijective():
@@ -43,7 +59,6 @@ def test_error_without_line():
 
 def test_every_builtin_callable_from_minic():
     """Each builtin compiles and executes with plausible arguments."""
-    from repro.lang import compile_source
     from repro.runtime import execute
 
     calls = {
@@ -65,3 +80,219 @@ def test_every_builtin_callable_from_minic():
         program = compile_source("fn main(input) { return %s; }" % expr)
         result = execute(program, b"abcdef")
         assert not result.crashed, name
+
+
+# -- trap rules: one row per (builtin, rule), on every executor ----------------
+#
+# Each row is one builtin call with its arguments and what it must do: a
+# return value (``None``: a ref, compared across executors only) or a
+# ``(trap kind, detail)``.  Every row is rendered three ways, so each rule is
+# exercised on run-time operands (every argument loaded from a heap cell, so
+# codegen knows neither its class nor its value), on codegen-constant
+# operands (integer literals, arrays of proven class) and on string-literal
+# operands (every read-only window a literal).  Each rendering runs under
+# the interpreter, the compiled fast and exact variants, taint tracking and
+# concolic extraction, cmplog off and on, under ``edge`` and ``path``; all
+# must agree field for field with the interpreter.
+
+# Argument shapes: an integer, a writable array, a readable array (a
+# string literal when operands are literals) and a read-only string.
+I, A, R, S = "int", "array", "readable", "string"
+
+TC, OOB_R, OOB_W = traps.TYPE_CONFUSION, traps.OOB_READ, traps.OOB_WRITE
+NOT_INT, NOT_ARR = (TC, "expected an integer"), (TC, "expected an array")
+
+
+def _range(kind, lo, hi, size):
+    return kind, "range [%d, %d) of %d" % (lo, hi, size)
+
+
+ROWS = [
+    # (id, builtin, args, expected)
+    ("alloc-ok", "alloc", [(I, 3)], None),
+    ("alloc-type0", "alloc", [(A, b"AB")], NOT_INT),
+    ("alloc-negative", "alloc", [(I, -1)], (traps.BAD_ALLOC, "alloc(-1)")),
+    ("alloc-huge", "alloc", [(I, 1048577)], (traps.BAD_ALLOC, "alloc(1048577)")),
+    ("len-ok", "len", [(R, b"ABC")], 3),
+    ("len-type0", "len", [(I, 5)], NOT_ARR),
+    ("abs-ok", "abs", [(I, -5)], 5),
+    ("abs-type0", "abs", [(A, b"AB")], NOT_INT),
+    ("min-ok", "min", [(I, 4), (I, -2)], -2),
+    ("min-type0", "min", [(A, b"AB"), (I, 1)], NOT_INT),
+    ("min-type1", "min", [(I, 1), (S, b"ab")], NOT_INT),
+    ("max-ok", "max", [(I, 4), (I, -2)], 4),
+    ("max-type0", "max", [(S, b"ab"), (I, 1)], NOT_INT),
+    ("max-type1", "max", [(I, 1), (A, b"AB")], NOT_INT),
+    ("memcmp-equal", "memcmp", [(R, b"ABCD"), (I, 1), (R, b"XBCD"), (I, 1), (I, 3)], 0),
+    ("memcmp-differ", "memcmp", [(R, b"ABCD"), (I, 0), (R, b"ABCE"), (I, 0), (I, 4)], 1),
+    ("memcmp-empty", "memcmp", [(R, b"AB"), (I, 2), (R, b"XY"), (I, 0), (I, 0)], 0),
+    ("memcmp-type0", "memcmp", [(I, 1), (I, 0), (R, b"AB"), (I, 0), (I, 1)], NOT_ARR),
+    ("memcmp-type1", "memcmp", [(R, b"AB"), (A, b"AB"), (R, b"AB"), (I, 0), (I, 1)], NOT_INT),
+    ("memcmp-type2", "memcmp", [(R, b"AB"), (I, 0), (I, 1), (I, 0), (I, 1)], NOT_ARR),
+    ("memcmp-type3", "memcmp", [(R, b"AB"), (I, 0), (R, b"AB"), (A, b"AB"), (I, 1)], NOT_INT),
+    ("memcmp-type4", "memcmp", [(R, b"AB"), (I, 0), (R, b"AB"), (I, 0), (S, b"AB")], NOT_INT),
+    ("memcmp-type-before-bounds", "memcmp", [(R, b"AB"), (I, 5), (R, b"AB"), (I, 0), (A, b"AB")], NOT_INT),
+    ("memcmp-negative-offset0", "memcmp", [(R, b"ABCD"), (I, -1), (R, b"ABCD"), (I, 0), (I, 1)], _range(OOB_R, -1, 0, 4)),
+    ("memcmp-negative-count", "memcmp", [(R, b"ABCD"), (I, 0), (R, b"ABCD"), (I, 0), (I, -1)], _range(OOB_R, 0, -1, 4)),
+    ("memcmp-overrun0", "memcmp", [(R, b"ABCD"), (I, 3), (R, b"ABCD"), (I, 0), (I, 2)], _range(OOB_R, 3, 5, 4)),
+    ("memcmp-negative-offset1", "memcmp", [(R, b"ABCD"), (I, 0), (R, b"AB"), (I, -1), (I, 1)], _range(OOB_R, -1, 0, 2)),
+    ("memcmp-overrun1", "memcmp", [(R, b"ABCD"), (I, 0), (R, b"AB"), (I, 1), (I, 2)], _range(OOB_R, 1, 3, 2)),
+    ("memcmp-window0-first", "memcmp", [(R, b"AB"), (I, 2), (R, b"AB"), (I, 3), (I, 1)], _range(OOB_R, 2, 3, 2)),
+    ("copy-ok", "copy", [(A, b"ABCD"), (I, 1), (R, b"XY"), (I, 0), (I, 2)], 0),
+    ("copy-type0", "copy", [(I, 1), (I, 0), (R, b"XY"), (I, 0), (I, 1)], NOT_ARR),
+    ("copy-type1", "copy", [(A, b"AB"), (R, b"XY"), (R, b"XY"), (I, 0), (I, 1)], NOT_INT),
+    ("copy-type2", "copy", [(A, b"AB"), (I, 0), (I, 1), (I, 0), (I, 1)], NOT_ARR),
+    ("copy-type3", "copy", [(A, b"AB"), (I, 0), (R, b"XY"), (S, b"XY"), (I, 1)], NOT_INT),
+    ("copy-type4", "copy", [(A, b"AB"), (I, 0), (R, b"XY"), (I, 0), (A, b"XY")], NOT_INT),
+    ("copy-readonly", "copy", [(S, b"ABCD"), (I, 0), (R, b"XY"), (I, 0), (I, 1)], (traps.READONLY_WRITE, "copy into constant")),
+    ("copy-readonly-before-bounds", "copy", [(S, b"AB"), (I, -1), (R, b"XY"), (I, 0), (I, 1)], (traps.READONLY_WRITE, "copy into constant")),
+    ("copy-negative-offset0", "copy", [(A, b"ABCD"), (I, -1), (R, b"XY"), (I, 0), (I, 1)], _range(OOB_W, -1, 0, 4)),
+    ("copy-negative-count", "copy", [(A, b"ABCD"), (I, 0), (R, b"XY"), (I, 0), (I, -1)], _range(OOB_W, 0, -1, 4)),
+    ("copy-overrun0", "copy", [(A, b"ABCD"), (I, 3), (R, b"XY"), (I, 0), (I, 2)], _range(OOB_W, 3, 5, 4)),
+    ("copy-negative-offset1", "copy", [(A, b"ABCD"), (I, 0), (R, b"XY"), (I, -1), (I, 1)], _range(OOB_R, -1, 0, 2)),
+    ("copy-overrun1", "copy", [(A, b"ABCD"), (I, 0), (R, b"XY"), (I, 1), (I, 2)], _range(OOB_R, 1, 3, 2)),
+    ("fill-ok", "fill", [(A, b"ABCD"), (I, 1), (I, 2), (I, 7)], 0),
+    ("fill-type0", "fill", [(I, 1), (I, 0), (I, 1), (I, 7)], NOT_ARR),
+    ("fill-type1", "fill", [(A, b"AB"), (S, b"AB"), (I, 1), (I, 7)], NOT_INT),
+    ("fill-type2", "fill", [(A, b"AB"), (I, 0), (A, b"AB"), (I, 7)], NOT_INT),
+    ("fill-type3", "fill", [(A, b"AB"), (I, 0), (I, 1), (A, b"AB")], NOT_INT),
+    ("fill-readonly", "fill", [(S, b"AB"), (I, 0), (I, 1), (I, 7)], (traps.READONLY_WRITE, "fill into constant")),
+    ("fill-negative-offset", "fill", [(A, b"ABCD"), (I, -1), (I, 1), (I, 7)], _range(OOB_W, -1, 0, 4)),
+    ("fill-negative-count", "fill", [(A, b"ABCD"), (I, 0), (I, -1), (I, 7)], _range(OOB_W, 0, -1, 4)),
+    ("fill-overrun", "fill", [(A, b"ABCD"), (I, 3), (I, 2), (I, 7)], _range(OOB_W, 3, 5, 4)),
+    ("trap-type0", "trap", [(A, b"AB")], NOT_INT),
+    ("trap-assert", "trap", [(I, 7)], (traps.ASSERT_FAIL, "trap(7)")),
+]
+for _name, _width, _value in (
+    ("read16", 2, 0x4243),
+    ("read32", 4, 0x42434445),
+    ("read16le", 2, 0x4342),
+    ("read32le", 4, 0x45444342),
+):
+    ROWS += [
+        ("%s-ok" % _name, _name, [(R, b"ABCDE"), (I, 1)], _value),
+        ("%s-type0" % _name, _name, [(I, 1), (I, 0)], NOT_ARR),
+        ("%s-type1" % _name, _name, [(R, b"ABCDE"), (S, b"AB")], NOT_INT),
+        ("%s-negative-offset" % _name, _name, [(R, b"ABCDE"), (I, -1)], _range(OOB_R, -1, _width - 1, 5)),
+        ("%s-overrun" % _name, _name, [(R, b"ABCDE"), (I, 4)], _range(OOB_R, 4, 4 + _width, 5)),
+    ]
+
+MODES = ("runtime", "constant", "literal")
+
+
+def _array_lines(var, data):
+    """``var = alloc(len(data))``, filled with ``data``."""
+    cells = "".join(" %s[%d] = %d;" % (var, i, b) for i, b in enumerate(data))
+    return "    var %s = alloc(%d);%s" % (var, len(data), cells)
+
+
+def _literal(data):
+    return '"%s"' % data.decode("ascii")
+
+
+def render(builtin, args, mode):
+    """MiniC source whose ``main`` returns the builtin call in ``mode``."""
+    lines, operands = [], []
+    if mode == "runtime":
+        lines.append("    var box = alloc(%d);" % len(args))
+    for j, (shape, value) in enumerate(args):
+        if shape in (A, R) and not (shape == R and mode == "literal"):
+            lines.append(_array_lines("v%d" % j, value))
+            expr = "v%d" % j
+        elif shape in (R, S):
+            expr = _literal(value)
+        else:
+            expr = "%d" % value
+        if mode == "runtime":
+            lines.append("    box[%d] = %s;" % (j, expr))
+            expr = "box[%d]" % j
+        elif mode == "constant" and shape == S:
+            lines.append("    var v%d = %s;" % (j, expr))
+            expr = "v%d" % j
+        operands.append(expr)
+    lines.append("    return %s(%s);" % (builtin, ", ".join(operands)))
+    return "fn main(input) {\n%s\n}\n" % "\n".join(lines)
+
+
+def _value_key(value):
+    # Refs compare by identity, which differs between any two runs.
+    if isinstance(value, ArrayRef):
+        return ("ref", value.array_id, value.readonly)
+    return value
+
+
+def outcome(result):
+    """What a trap rule decides, plus everything the executors must share."""
+    trap = result.trap
+    trap_key = None
+    if trap is not None:
+        frames = tuple((fr.function, fr.line) for fr in trap.stack)
+        trap_key = (trap.kind, trap.detail, trap.function, trap.line, frames)
+    return (
+        _value_key(result.retval),
+        trap_key,
+        result.timeout,
+        result.instr_count,
+        result.probe_count,
+        result.probe_cost,
+        dict(result.hits),
+        [tuple(_value_key(v) for v in entry) for entry in result.cmp_log],
+    )
+
+
+def _run_exact(compiled, data, cmplog):
+    """The exact compiled variant, which ``execute`` reaches only on a
+    budget overrun."""
+    runtime = _Rt(
+        compiled._functions(cmplog),
+        compiled.program,
+        compiled.instrumentation,
+        DEFAULT_INSTR_BUDGET,
+        DEFAULT_CALL_DEPTH,
+        cmplog,
+    )
+    result = runtime.run(data)
+    return charge_hits(result) if compiled.instrumentation.pure_hit else result
+
+
+def run_all_executors(program, data=b"\x01\x02"):
+    """The interpreter's result, after checking every other executor
+    against it under ``edge`` and ``path``, cmplog off and on."""
+    plain = None
+    for name in ("edge", "path"):
+        instrumentation = feedback_by_name(name).instrument(program)
+        compiled = compile_program(program, instrumentation)
+        for cmplog in (False, True):
+            ref = interp_execute(program, data, instrumentation, cmplog=cmplog)
+            want = outcome(ref)
+            runs = {
+                "fast": compiled.execute(data, cmplog=cmplog),
+                "exact": _run_exact(compiled, data, cmplog),
+                "taint": taint_execute(program, data, instrumentation, cmplog=cmplog)[0],
+            }
+            if not cmplog:
+                runs["concolic"] = extract_path_condition(
+                    program, data, instrumentation=instrumentation
+                )[0]
+                plain = plain or ref
+            for executor, result in runs.items():
+                assert outcome(result) == want, (name, cmplog, executor)
+    return plain
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "builtin,args,expected", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS]
+)
+def test_builtin_trap_rules(builtin, args, expected, mode):
+    source = render(builtin, args, mode)
+    result = run_all_executors(compile_source(source))
+    if isinstance(expected, tuple):
+        assert result.trap is not None, result.retval
+        assert (result.trap.kind, result.trap.detail) == expected
+        # The call's own line: the source's last statement.
+        assert result.trap.line == source.count("\n") - 1
+    else:
+        assert result.trap is None, result.trap
+        if expected is not None:
+            assert result.retval == expected
