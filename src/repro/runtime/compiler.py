@@ -21,6 +21,12 @@ once, then executes the compiled closures instead:
   only where the register escapes (a call argument, a stored or returned
   value, a compare, a builtin that is not inlined, a dispatch label where
   it is live), once per dynamic STR, so identity is the interpreter's;
+- ``len``, ``abs``, ``min``, ``max``, ``alloc``, ``memcmp`` and the
+  ``read*`` family are inlined as their fast path only: the value and its
+  virtual-time charge under one guard, the disjunction of the builtin's
+  class and bounds tests.  A failed guard calls ``rt._bi_at``, which runs
+  the interpreter's own ``_bi_*`` method; builtin trap kinds, details and
+  check order are written there and nowhere else;
 - basic blocks are threaded directly: single-predecessor successors are
   inlined after their predecessor's terminator (straight-line chains and
   if/else diamonds compile to straight-line Python), and only join points
@@ -121,6 +127,8 @@ from repro.runtime.interpreter import (
     DEFAULT_CALL_DEPTH,
     DEFAULT_INSTR_BUDGET,
     PROBE_COSTS,
+    _BUILTIN_DISPATCH,
+    _READS,
     ExecutionResult,
     _Exec,
     charge_hits,
@@ -159,7 +167,10 @@ class _Rt(_Exec):
     Subclasses the interpreter's executor so the heap, builtins, trap and
     stack-trace machinery, cmplog harvesting, and the out-of-line probe
     kinds (n-gram, h-path, path pairs) are *the same code* in both
-    backends.  The instruction counter moves into a one-element list
+    backends.  Generated code leaves through two helpers: ``_trap_at`` for
+    its own trap exits (LOAD/STORE, operators, call depth) and ``_bi_at``
+    for an inlined builtin whose guard failed, which traps through the
+    builtin's ``_Exec._bi_*`` method.  The instruction counter moves into a one-element list
     (``_count_cell``) so generated code can flush its local tally through a
     fast alias; the ``_count`` property keeps the builtins' accounting and
     the result construction transparently in sync.
@@ -201,6 +212,21 @@ class _Rt(_Exec):
         acc[0] += pn
         acc[1] += pk
         self._trap(kind, func_name, line, detail)
+
+    def _bi_at(self, code, args, func_name, line, n, pn=0, pk=0):
+        """An inlined builtin's failed guard: flush as ``_trap_at`` does,
+        then run the builtin's ``_Exec._bi_*`` method, which traps by its
+        own rules.  The guard is that method's class and bounds tests, so
+        a return means the guard is wrong."""
+        self._count_cell[0] = n
+        acc = self._probe_acc
+        acc[0] += pn
+        acc[1] += pk
+        _BUILTIN_DISPATCH[code](self, args, func_name, line)
+        raise AssertionError(
+            "%s at %s:%d passed its checks after its guard failed"
+            % (BUILTIN_NAMES[code], func_name, line)
+        )
 
     def _reset(self, compiled, instr_budget, call_depth_limit, cmplog):
         """Restore pristine per-execution state (cheaper than __init__).
@@ -625,7 +651,6 @@ def _load_functions(program, instrumentation, prune, cmplog, key, live, fast=Fal
             except OSError:  # pragma: no cover - cache writes are best-effort
                 pass
     from repro.lang.builtins_spec import BUILTIN_CODES
-    from repro.runtime.interpreter import _BUILTIN_DISPATCH
 
     namespace = {
         "ArrayRef": ArrayRef,
@@ -772,6 +797,8 @@ class _FunctionEmitter:
             instrumentation is not None and instrumentation.pair_paths
         )
         self.probe_locals = probe_locals
+        # The local tallies a trap exit flushes.
+        self.tallies = "_n, _pn, _pk" if probe_locals else "_n"
         # Current emission context (swapped while expanding an inline site).
         self.func = func
         self.fname = repr(func.name)
@@ -848,11 +875,10 @@ class _FunctionEmitter:
         return lines
 
     def _emit_trap(self, out, ind, kind, line, detail_expr):
-        tallies = "_n, _pn, _pk" if self.probe_locals else "_n"
         out.append(
             ind
             + "rt._trap_at(traps.%s, %s, %d, %s, %s)"
-            % (kind, self.fname, line, detail_expr, tallies)
+            % (kind, self.fname, line, detail_expr, self.tallies)
         )
 
     def _static_trap(self, out, ind, kind, line, detail_expr):
@@ -862,6 +888,27 @@ class _FunctionEmitter:
         syntactically meaningless)."""
         self._emit_trap(out, ind, kind, line, detail_expr)
         self._dead = True
+
+    def _emit_push(self, out, ind, line):
+        """A call's depth check and stack-frame push."""
+        out.append(ind + "if len(_stack) + 1 >= _dl:")
+        self._emit_trap(
+            out, ind + "    ", "STACK_OVERFLOW", line, '"call depth exceeded"'
+        )
+        out.append(ind + "_stack.append((%s, %d))" % (self.fname, line))
+
+    def _emit_entry_actions(self, out, ind):
+        """The context's entry actions, as the interpreter's single
+        ``_run_actions(entry, 0, mask)`` call runs them: all-HIT tables are
+        inlined; anything else goes through that very method, so
+        path-register threading between entry actions matches."""
+        if not self.entry_acts:
+            return
+        if all(act[0] == ACT_HIT for act in self.entry_acts):
+            self._emit_actions(self.entry_acts, out, ind)
+        else:
+            name = self._const(tuple(self.entry_acts))
+            out.append(ind + "rt._run_actions(%s, 0, %d)" % (name, self.mask))
 
     def _emit_hit(self, out, ind, idx_expr):
         # dict.get beats try/except here on both fresh and repeated cells:
@@ -1095,17 +1142,6 @@ class _FunctionEmitter:
 
     # -- instructions -----------------------------------------------------
 
-    # Operand positions that consume a string literal without building its
-    # ref: the array of a LOAD/STORE and the arrays of inlined builtins.
-    _LITERAL_ARGS = {
-        "len": (0,),
-        "memcmp": (0, 2),
-        "read16": (0,),
-        "read32": (0,),
-        "read16le": (0,),
-        "read32le": (0,),
-    }
-
     def _escaping(self, ins):
         """Registers whose value ``ins`` observes beyond a literal's bytes.
         A move observes nothing: it copies the deferral (see _setlit)."""
@@ -1117,10 +1153,10 @@ class _FunctionEmitter:
         if op == STORE:
             return (ins[2], ins[3])
         if op == BUILTIN:
-            name = BUILTIN_NAMES[ins[2]]
-            if name in self._BUILTIN_INLINE:
-                keep = self._LITERAL_ARGS.get(name, ())
-                return [reg for i, reg in enumerate(ins[3]) if i not in keep]
+            inline = self._BUILTIN_INLINE.get(BUILTIN_NAMES[ins[2]])
+            if inline is not None:
+                shapes = inline[1]
+                return [reg for reg, c in zip(ins[3], shapes) if c != "a"]
         return instr_uses(ins)
 
     def _emit_instr(self, ins, out, ind):
@@ -1154,11 +1190,7 @@ class _FunctionEmitter:
             self._emit_store(ins, out, ind)
         elif op == CALL:
             dst, func_index, args, line = ins[1], ins[2], ins[3], ins[4]
-            out.append(ind + "if len(_stack) + 1 >= _dl:")
-            self._emit_trap(
-                out, ind + "    ", "STACK_OVERFLOW", line, '"call depth exceeded"'
-            )
-            out.append(ind + "_stack.append((%s, %d))" % (self.fname, line))
+            self._emit_push(out, ind, line)
             out.extend(self._flush_lines(ind, zero=True))
             call_args = "".join(", " + self._use(reg) for reg in args)
             out.append(
@@ -1170,7 +1202,9 @@ class _FunctionEmitter:
             dst, code, args, line = ins[1], ins[2], ins[3], ins[4]
             inline = self._BUILTIN_INLINE.get(BUILTIN_NAMES[code])
             if inline is not None:
-                inline(self, out, ind, dst, args, line)
+                emit, shapes = inline
+                terms = self._class_terms(args, shapes)
+                emit(self, out, ind, code, dst, args, line, terms)
                 return
             out.extend(self._flush_lines(ind, zero=True))
             arg_list = ", ".join(self._use(reg) for reg in args)
@@ -1310,9 +1344,24 @@ class _FunctionEmitter:
                 out, ind + "    ", "TYPE_CONFUSION", 0, '"array in arithmetic"'
             )
 
+    def _check_array(self, out, ind, reg, line):
+        """LOAD/STORE's class check of the indexed array."""
+        name = self._r(reg)
+        k = self.kind.get(name)
+        if k in ("arr", "warr", "sarr"):
+            return True
+        detail = '"indexing a non-array"'
+        if k == "int":
+            self._static_trap(out, ind, "TYPE_CONFUSION", line, detail)
+            return False
+        out.append(ind + "if %s.__class__ is not ArrayRef:" % name)
+        self._emit_trap(out, ind + "    ", "TYPE_CONFUSION", line, detail)
+        self.kind[name] = "arr"
+        return True
+
     def _emit_load(self, ins, out, ind):
         dst, arr, idx, line = ins[1], ins[2], ins[3], ins[4]
-        if not self._check_array(out, ind, arr, line, '"indexing a non-array"'):
+        if not self._check_array(out, ind, arr, line):
             return
         buf = self._buffer(out, ind, arr)
         data = self._literal(arr)
@@ -1327,7 +1376,7 @@ class _FunctionEmitter:
 
     def _emit_store(self, ins, out, ind):
         arr, idx, src, line = ins[1], ins[2], ins[3], ins[4]
-        if not self._check_array(out, ind, arr, line, '"indexing a non-array"'):
+        if not self._check_array(out, ind, arr, line):
             return
         name = self._r(arr)
         k = self.kind.get(name)
@@ -1381,44 +1430,93 @@ class _FunctionEmitter:
         return True
 
     # -- inline builtins ---------------------------------------------------
-    # Each mirrors the corresponding _Exec._bi_* method exactly: same check
-    # order, same trap kinds and details, same virtual-time charges (held in
-    # the local counter; every trap path flushes first, so the shared cell
-    # is current at each observation point).  copy/fill/trap stay on the
-    # out-of-line dispatch — they are rare and mutation-heavy.
+    # An inlined builtin keeps only its fast path: the value and its
+    # virtual-time charge (in the local counter), under one guard that is
+    # the disjunction of the builtin's class and bounds tests, class tests
+    # first so no ``<`` ever sees an ArrayRef.  When the guard fails, or
+    # codegen proves it always fails, ``rt._bi_at`` runs the builtin's
+    # ``_Exec._bi_*`` method, which traps with its own kind, detail and
+    # check order.  copy/fill/trap are not inlined: they are rare and
+    # mutation-heavy.
 
-    def _check_array(self, out, ind, reg, line, detail='"expected an array"'):
-        name = self._r(reg)
-        k = self.kind.get(name)
-        if k in ("arr", "warr", "sarr"):
-            return True
-        if k == "int":
-            self._static_trap(out, ind, "TYPE_CONFUSION", line, detail)
-            return False
-        out.append(ind + "if %s.__class__ is not ArrayRef:" % name)
-        self._emit_trap(out, ind + "    ", "TYPE_CONFUSION", line, detail)
-        self.kind[name] = "arr"
-        return True
+    # Per argument shape ("a" array, "i" integer): the kinds that prove
+    # it, its class test, and the kind a passed test proves.
+    _SHAPE_TESTS = {
+        "a": (("arr", "warr", "sarr"), "%s.__class__ is not ArrayRef", "arr"),
+        "i": (("int",), "%s.__class__ is ArrayRef", "int"),
+    }
 
-    def _check_int(self, out, ind, reg, line):
-        name = self._r(reg)
-        k = self.kind.get(name)
-        if k == "int":
-            return True
-        if k is not None:
-            self._static_trap(
-                out, ind, "TYPE_CONFUSION", line, '"expected an integer"'
-            )
-            return False
-        out.append(ind + "if %s.__class__ is ArrayRef:" % name)
-        self._emit_trap(
-            out, ind + "    ", "TYPE_CONFUSION", line, '"expected an integer"'
+    def _class_terms(self, args, shapes):
+        """The guard's class tests of a builtin's arguments, or None when a
+        proven kind fails one.  Past the guard every argument is proven."""
+        terms = []
+        for reg, shape in zip(args, shapes):
+            proven, test, kind = self._SHAPE_TESTS[shape]
+            name = self._r(reg)
+            k = self.kind.get(name)
+            if k not in proven:
+                if k is not None:
+                    return None
+                terms.append(test % name)
+                self.kind[name] = kind
+        return terms
+
+    def _window_terms(self, reg, off, n, check_n=True):
+        """The guard's bounds tests of window ``[off, off + n)`` of ``reg``'s
+        array (``off < 0 or n < 0 or off + n > len``), or None when codegen
+        proves the window out of bounds; tests over codegen constants (a
+        literal's length included) are decided here.  The length test binds
+        the buffer local: past the guard, it was evaluated."""
+        terms = []
+        for expr in (off, n) if check_n else (off,):
+            if not _is_lit(expr):
+                terms.append("%s < 0" % expr)
+            elif int(expr) < 0:
+                return None
+        data = self._literal(reg)
+        if data is None:
+            name = self._r(reg)
+            buf = self.buf.get(name)
+            if buf is None:
+                buf = self.buf[name] = "_b" + name
+                buf = "%s := _arrays[%s.array_id]" % (buf, name)
+            terms.append("%s + %s > len(%s)" % (off, n, buf))
+        elif not (_is_lit(off) and _is_lit(n)):
+            terms.append("%s + %s > %d" % (off, n, len(data)))
+        elif int(off) + int(n) > len(data):
+            return None
+        return terms
+
+    def _fallback(self, code, args, line):
+        """The call running the builtin's ``_Exec._bi_*`` method.  A pending
+        string literal is built here as the interpreter's STR builds it, so
+        only this path pays for its ref."""
+        exprs = []
+        for reg in args:
+            name = self._r(reg)
+            if name in self.lit and name in self.pend:
+                exprs.append("rt._heap.string_ref(%d)" % self.lit[name][0])
+            else:
+                exprs.append(self._use(reg))
+        return "rt._bi_at(%d, [%s], %s, %d, %s)" % (
+            code, ", ".join(exprs), self.fname, line, self.tallies,
         )
-        self.kind[name] = "int"
+
+    def _emit_guard(self, out, ind, code, args, line, terms):
+        """``if <terms>:`` the fallback; with ``terms`` None, the fallback
+        alone and the rest of the block dead.  Returns whether the fast
+        path is reachable."""
+        if terms is None:
+            out.append(ind + self._fallback(code, args, line))
+            self._dead = True
+            return False
+        if terms:
+            out.append(ind + "if %s:" % " or ".join(terms))
+            out.append(ind + "    " + self._fallback(code, args, line))
         return True
 
-    def _inline_len(self, out, ind, dst, a, line):
-        if not self._check_array(out, ind, a[0], line):
+    def _inline_len(self, out, ind, code, dst, a, line, terms):
+        if not self._emit_guard(out, ind, code, a, line, terms):
             return
         data = self._literal(a[0])
         if data is not None:
@@ -1427,85 +1525,40 @@ class _FunctionEmitter:
         buf = self._buffer(out, ind, a[0])
         out.append(ind + "%s = len(%s)" % (self._def(dst, "int"), buf))
 
-    def _inline_abs(self, out, ind, dst, a, line):
+    def _inline_abs(self, out, ind, code, dst, a, line, terms):
         va = self.env.get(self._r(a[0]))
         if va is not None:
             self._setc(dst, wrap_int(abs(va)))
-            return
-        if not self._check_int(out, ind, a[0], line):
-            return
-        self._emit_wrapped(out, ind, self._def(dst, "int"), "_abs(%s)" % self._r(a[0]))
+        elif self._emit_guard(out, ind, code, a, line, terms):
+            rd = self._def(dst, "int")
+            self._emit_wrapped(out, ind, rd, "_abs(%s)" % self._r(a[0]))
 
-    def _inline_min(self, out, ind, dst, a, line):
+    def _inline_pick(self, out, ind, code, dst, a, line, terms):
+        """``min`` and ``max``."""
+        pick, cmp_op = (min, "<=") if BUILTIN_NAMES[code] == "min" else (max, ">=")
         va = self.env.get(self._r(a[0]))
         vb = self.env.get(self._r(a[1]))
         if va is not None and vb is not None:
-            self._setc(dst, va if va <= vb else vb)
-            return
-        if not self._check_int(out, ind, a[0], line):
-            return
-        if not self._check_int(out, ind, a[1], line):
-            return
-        ea, eb = self._use(a[0]), self._use(a[1])
-        out.append(
-            ind + "%s = %s if %s <= %s else %s" % (self._def(dst, "int"), ea, ea, eb, eb)
-        )
+            self._setc(dst, pick(va, vb))
+        elif self._emit_guard(out, ind, code, a, line, terms):
+            ea, eb = self._use(a[0]), self._use(a[1])
+            rd = self._def(dst, "int")
+            out.append(ind + "%s = %s if %s %s %s else %s" % (rd, ea, ea, cmp_op, eb, eb))
 
-    def _inline_max(self, out, ind, dst, a, line):
-        va = self.env.get(self._r(a[0]))
-        vb = self.env.get(self._r(a[1]))
-        if va is not None and vb is not None:
-            self._setc(dst, va if va >= vb else vb)
+    def _inline_alloc(self, out, ind, code, dst, a, line, terms):
+        size = self._use(a[0])
+        if terms is not None:
+            terms.append("(_a := _alloc(%s)) is None" % size)
+        if not self._emit_guard(out, ind, code, a, line, terms):
             return
-        if not self._check_int(out, ind, a[0], line):
-            return
-        if not self._check_int(out, ind, a[1], line):
-            return
-        ea, eb = self._use(a[0]), self._use(a[1])
-        out.append(
-            ind + "%s = %s if %s >= %s else %s" % (self._def(dst, "int"), ea, ea, eb, eb)
-        )
-
-    def _inline_alloc(self, out, ind, dst, a, line):
-        if not self._check_int(out, ind, a[0], line):
-            return
-        expr = self._use(a[0])
-        out.append(ind + "_a = _alloc(%s)" % expr)
-        out.append(ind + "if _a is None:")
-        self._emit_trap(
-            out, ind + "    ", "BAD_ALLOC", line, '"alloc(%%d)" %% %s' % expr
-        )
-        # size is valid (>= 0) past the None check, so max(size, 0) == size.
-        out.append(ind + "_n += %s >> 4" % expr)
+        # size is valid (>= 0) past the guard, so max(size, 0) == size.
+        if not _is_lit(size):
+            out.append(ind + "_n += %s >> 4" % size)
+        elif int(size) >> 4:
+            out.append(ind + "_n += %d" % (int(size) >> 4))
         out.append(ind + "%s = _a" % self._def(dst, "warr"))
 
-    def _emit_window_check(self, out, ind, reg, buf, off, n, line, check_n=True):
-        """The interpreter's ``_bounded_slice`` check of window ``[off, off +
-        n)`` of ``reg``'s array: ``off < 0 or n < 0 or off + n > len``.
-        Terms whose operands are codegen constants (literal offsets and
-        counts, a string literal's length) are decided here.  Returns False
-        when the window traps on every execution."""
-        data = self._literal(reg)
-        size = "len(%s)" % buf if data is None else "%d" % len(data)
-        detail = '"range [%%d, %%d) of %%d" %% (%s, %s + %s, %s)' % (off, off, n, size)
-        terms = []
-        for expr in (off, n) if check_n else (off,):
-            if not _is_lit(expr):
-                terms.append("%s < 0" % expr)
-            elif int(expr) < 0:
-                self._static_trap(out, ind, "OOB_READ", line, detail)
-                return False
-        if data is None or not (_is_lit(off) and _is_lit(n)):
-            terms.append("%s + %s > %s" % (off, n, size))
-        elif int(off) + int(n) > len(data):
-            self._static_trap(out, ind, "OOB_READ", line, detail)
-            return False
-        if terms:
-            out.append(ind + "if %s:" % " or ".join(terms))
-            self._emit_trap(out, ind + "    ", "OOB_READ", line, detail)
-        return True
-
-    def _window(self, out, ind, reg, buf, off, n, local):
+    def _window(self, out, ind, reg, off, n, local):
         """``(expr, values)`` for the checked window ``[off, off + n)``:
         a hoisted constant list when it is a window of a string literal at
         a literal offset and count (``values`` its content), otherwise the
@@ -1515,30 +1568,22 @@ class _FunctionEmitter:
             lo, count = int(off), int(n)
             values = list(self.program.strings[pool][lo : lo + count])
             return self._pool_const(pool, lo, count), values
+        buf = self._buffer(out, ind, reg)
         out.append(ind + "%s = %s[%s : %s + %s]" % (local, buf, off, off, n))
         return local, None
 
-    def _inline_memcmp(self, out, ind, dst, a, line):
-        for reg, check in (
-            (a[0], self._check_array),
-            (a[1], self._check_int),
-            (a[2], self._check_array),
-            (a[3], self._check_int),
-            (a[4], self._check_int),
-        ):
-            if not check(out, ind, reg, line):
-                return
+    def _inline_memcmp(self, out, ind, code, dst, a, line, terms):
         aoff, boff, n = self._use(a[1]), self._use(a[3]), self._use(a[4])
-        buf_a = self._buffer(out, ind, a[0])
-        if not self._emit_window_check(out, ind, a[0], buf_a, aoff, n, line):
-            return
-        # n >= 0 is established by the first window check.
-        buf_b = self._buffer(out, ind, a[2])
-        if not self._emit_window_check(out, ind, a[2], buf_b, boff, n, line, False):
+        if terms is not None:
+            left = self._window_terms(a[0], aoff, n)
+            # n >= 0 is established by the first window's tests.
+            right = None if left is None else self._window_terms(a[2], boff, n, False)
+            terms = None if right is None else terms + left + right
+        if not self._emit_guard(out, ind, code, a, line, terms):
             return
         out.append(ind + "_n += %s" % n)
-        left, lvals = self._window(out, ind, a[0], buf_a, aoff, n, "_s")
-        right, rvals = self._window(out, ind, a[2], buf_b, boff, n, "_t")
+        left, lvals = self._window(out, ind, a[0], aoff, n, "_s")
+        right, rvals = self._window(out, ind, a[2], boff, n, "_t")
         if self.cmplog:
             logged = []
             for expr, values in ((left, lvals), (right, rvals)):
@@ -1555,60 +1600,42 @@ class _FunctionEmitter:
                 ind + "%s = 0 if %s == %s else 1" % (self._def(dst, "int"), left, right)
             )
 
-    def _inline_read(self, out, ind, dst, a, line, width, big_endian):
-        if not self._check_array(out, ind, a[0], line):
-            return
-        if not self._check_int(out, ind, a[1], line):
-            return
+    def _inline_read(self, out, ind, code, dst, a, line, terms):
+        width, big_endian = _READS[code]
         off = self._use(a[1])
-        buf = self._buffer(out, ind, a[0])
-        if not self._emit_window_check(out, ind, a[0], buf, off, "%d" % width, line):
+        if terms is not None:
+            window = self._window_terms(a[0], off, "%d" % width)
+            terms = None if window is None else terms + window
+        if not self._emit_guard(out, ind, code, a, line, terms):
             return
         data = self._literal(a[0])
         lit = _is_lit(off)
         if lit and data is not None:
             window = data[int(off) : int(off) + width]
-            value = 0
-            for byte in window if big_endian else window[::-1]:
-                value = (value << 8) | (byte & 255)
-            self._setc(dst, value)
+            self._setc(dst, int.from_bytes(window, "big" if big_endian else "little"))
             return
+        buf = self._buffer(out, ind, a[0])
         parts = []
         for j in range(width):
-            shift = 8 * (width - 1 - j) if big_endian else 8 * j
-            if lit:
-                cell = "%s[%d]" % (buf, int(off) + j)
-            else:
-                cell = "%s[%s]" % (buf, off) if j == 0 else "%s[%s + %d]" % (buf, off, j)
-            if shift:
-                parts.append("((%s & 255) << %d)" % (cell, shift))
-            else:
-                parts.append("(%s & 255)" % cell)
+            index = "%d" % (int(off) + j) if lit else "%s + %d" % (off, j) if j else off
+            shift = 8 * (width - 1 - j if big_endian else j)
+            part = "(%s[%s] & 255)" % (buf, index)
+            parts.append("(%s << %d)" % (part, shift) if shift else part)
         out.append(ind + "%s = %s" % (self._def(dst, "int"), " | ".join(parts)))
 
-    def _inline_read16(self, out, ind, dst, a, line):
-        self._inline_read(out, ind, dst, a, line, 2, True)
-
-    def _inline_read32(self, out, ind, dst, a, line):
-        self._inline_read(out, ind, dst, a, line, 4, True)
-
-    def _inline_read16le(self, out, ind, dst, a, line):
-        self._inline_read(out, ind, dst, a, line, 2, False)
-
-    def _inline_read32le(self, out, ind, dst, a, line):
-        self._inline_read(out, ind, dst, a, line, 4, False)
-
+    # Inlined builtins: emitter and argument shapes.  A string literal at
+    # an array position is read from its pool constant, never built.
     _BUILTIN_INLINE = {
-        "len": _inline_len,
-        "abs": _inline_abs,
-        "min": _inline_min,
-        "max": _inline_max,
-        "alloc": _inline_alloc,
-        "memcmp": _inline_memcmp,
-        "read16": _inline_read16,
-        "read32": _inline_read32,
-        "read16le": _inline_read16le,
-        "read32le": _inline_read32le,
+        "len": (_inline_len, "a"),
+        "abs": (_inline_abs, "i"),
+        "min": (_inline_pick, "ii"),
+        "max": (_inline_pick, "ii"),
+        "alloc": (_inline_alloc, "i"),
+        "memcmp": (_inline_memcmp, "aiaii"),
+        "read16": (_inline_read, "ai"),
+        "read32": (_inline_read, "ai"),
+        "read16le": (_inline_read, "ai"),
+        "read32le": (_inline_read, "ai"),
     }
 
     # -- inlined IR calls --------------------------------------------------
@@ -1734,11 +1761,7 @@ class _FunctionEmitter:
         callee = self.program.funcs[func_index]
         site = self._next_site
         self._next_site += 1
-        out.append(ind + "if len(_stack) + 1 >= _dl:")
-        self._emit_trap(
-            out, ind + "    ", "STACK_OVERFLOW", line, '"call depth exceeded"'
-        )
-        out.append(ind + "_stack.append((%s, %d))" % (self.fname, line))
+        self._emit_push(out, ind, line)
         arg_exprs, arg_kinds, arg_lits = self._inline_args(out, ind, args)
         ret_name = self._def(dst)
         saved = self._enter_inline(callee, site, self._next_label, _LEAF_CONT, ret_name)
@@ -1748,12 +1771,7 @@ class _FunctionEmitter:
         if self._uses_pathreg():
             out.append(ind + "%s = 0" % self.pr)
             self.prv = 0
-        if self.entry_acts:
-            if all(act[0] == ACT_HIT for act in self.entry_acts):
-                self._emit_actions(self.entry_acts, out, ind)
-            else:
-                name = self._const(tuple(self.entry_acts))
-                out.append(ind + "rt._run_actions(%s, 0, %d)" % (name, self.mask))
+        self._emit_entry_actions(out, ind)
         self._leaf_active.add(func_index)
         self._leaf_returned = False
         self._emit_block(0, out, depth)
@@ -1799,11 +1817,7 @@ class _FunctionEmitter:
         # which starts with no knowledge) may read must be real first.
         need = {self._r(i) for i in self._live_after(block_id, index)}
         self._materialize(out, ind, need)
-        out.append(ind + "if len(_stack) + 1 >= _dl:")
-        self._emit_trap(
-            out, ind + "    ", "STACK_OVERFLOW", line, '"call depth exceeded"'
-        )
-        out.append(ind + "_stack.append((%s, %d))" % (self.fname, line))
+        self._emit_push(out, ind, line)
         arg_exprs, arg_kinds, arg_lits = self._inline_args(out, ind, args)
         saved = self._enter_inline(*ctx)
         entry_dispatched = base in self.labels
@@ -1827,12 +1841,7 @@ class _FunctionEmitter:
         if self._uses_pathreg():
             out.append(ind + "%s = 0" % self.pr)
             self.prv = 0
-        if self.entry_acts:
-            if all(act[0] == ACT_HIT for act in self.entry_acts):
-                self._emit_actions(self.entry_acts, out, ind)
-            else:
-                name = self._const(tuple(self.entry_acts))
-                out.append(ind + "rt._run_actions(%s, 0, %d)" % (name, self.mask))
+        self._emit_entry_actions(out, ind)
         if entry_dispatched:
             out.append(ind + "cur = %d" % base)
             out.append(ind + "continue")
@@ -2084,19 +2093,9 @@ class _FunctionEmitter:
             self._emit_dispatch(labels, shifted, body, 2)
         else:
             body = ["    " + line for line in bodies[0]]
-        # Entry actions run before the first block's accounting, exactly as
-        # the interpreter's single _run_actions(entry, 0, mask) call does:
-        # all-HIT tables are inlined; anything else goes through that very
-        # method so path-register threading between entry actions matches.
+        # Entry actions run before the first block's accounting.
         entry_lines = []
-        if self.entry_acts:
-            if all(act[0] == ACT_HIT for act in self.entry_acts):
-                self._emit_actions(self.entry_acts, entry_lines, "    ")
-            else:
-                name = self._const(tuple(self.entry_acts))
-                entry_lines.append(
-                    "    rt._run_actions(%s, 0, %d)" % (name, self.mask)
-                )
+        self._emit_entry_actions(entry_lines, "    ")
         # Preamble: only the aliases the generated code actually uses.
         params = ", ".join(["rt"] + [self._r(i) for i in range(func.nparams)])
         text = "\n".join(entry_lines + body)

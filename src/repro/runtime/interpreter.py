@@ -635,3 +635,11 @@ _BUILTIN_DISPATCH = {
     BUILTIN_CODES["read32le"]: _Exec._bi_read32le,
     BUILTIN_CODES["trap"]: _Exec._bi_trap,
 }
+
+# read* builtins: code -> (width, big_endian).
+_READS = {
+    BUILTIN_CODES["read16"]: (2, True),
+    BUILTIN_CODES["read32"]: (4, True),
+    BUILTIN_CODES["read16le"]: (2, False),
+    BUILTIN_CODES["read32le"]: (4, False),
+}

@@ -78,6 +78,7 @@ from repro.lang.builtins_spec import BUILTIN_CODES
 from repro.runtime import traps
 from repro.runtime.interpreter import (
     _BUILTIN_DISPATCH,
+    _READS,
     CMPLOG_CAP,
     _c_div,
     _c_mod,
@@ -97,14 +98,6 @@ _STEERING = {
         (("read16", "read32", "read16le", "read32le"), (1,)),
     )
     for name in names
-}
-
-# read* builtins: code -> (width, big_endian).
-_READS = {
-    BUILTIN_CODES["read16"]: (2, True),
-    BUILTIN_CODES["read32"]: (4, True),
-    BUILTIN_CODES["read16le"]: (2, False),
-    BUILTIN_CODES["read32le"]: (4, False),
 }
 
 
