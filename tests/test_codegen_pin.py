@@ -27,25 +27,25 @@ from repro.runtime.compiler import compile_program, generate_sources
 from repro.subjects import all_subject_names, get_subject
 
 PINNED = {
-    "cflow": "bdc5382bb2180a11007ad97b880b2de8f9dae7f713005b19bae504ee6e319d7f",
-    "exiv2": "f876c9a4079791f0667b807560d24d010ca65ce7c0430702412c8a4eb7cfdaf2",
-    "ffmpeg": "207356f8a3edaa74a942f92548383201b49fc046427eb76703e61a385e0ada63",
-    "flvmeta": "89f706b5fe1094d2cf73cd58a41ae4a671e4efc87b4f526fbd0b9d37c5e54a4c",
-    "gdk": "b5d2a0b3c174438cc19abee0f40328b8a826007752a2b6d0b098cab82b1b135f",
-    "imginfo": "80d289a6744db55a9a3a2ad5f54f1c12134df5acc722f1b5b9a594d75ee75446",
-    "infotocap": "064692912c045407653dc9bedd66a43a51c57a52b2495309226f01f0b13d1f53",
-    "jhead": "75c5d1bb8063bde5890d907c21c52126c100a0a16ba4b81be761060df7e77607",
-    "jq": "e70e88eadb8500f51d1f62255643fd989953a1d1ce4d052f8f357854a73aa580",
-    "lame": "a72c5a7dd211d5fc06d76aac00d3fc5ce7afffc1a6550f3384da1a3cd595ae6c",
-    "motivating": "13788411bd09ceaa4f6ebc6ed07f641be23e031cbc9b92e4f5109705b5febe09",
-    "mp3gain": "193c0c00bed1da0266ce0b194e807ed52ddef620883862402ffdb9c890dd89a2",
-    "mp42aac": "d4c04aedf64e998f14ac128f2fc3a18f3b3a75d88b142a959a5a25ce1e7cdb2d",
-    "mujs": "55820c8a70a8fd7e7ead9660bcec8c8dcaf1ddcc9638bfa5b92aa6dd8ba3adcf",
-    "nm_new": "cee0f6da36bda531a05334dd6a5cdfb954fed26da2abd522217f03623ee0e640",
-    "objdump": "b09b627a3a3a4431c6beae960c34971be7e3224221c574269d042416c48a5ee4",
-    "pdftotext": "ab56eaa4af62f363c4fa9f0e9198b83f06d784e2e12d78bbc1ed1ce755774be4",
-    "sqlite3": "d9857309db6ecaff35e8eb98c8e20943536682aab0a2ffdf6117738d70ddad07",
-    "tiffsplit": "4525fc3d01a80d13c0025b99233b6a9947089af374f5515792683a56e75f5d67",
+    "cflow": "26faa1c9309b6e3014c93617c8bcec207b8648264ee370e1e1fc948287e27fe4",
+    "exiv2": "118430f1059756a02fa423015475eeb349b5dccde012ec06430a7abad1488749",
+    "ffmpeg": "ee25cb3336fb56c4144b5d7522e1d19a04971dd83da6ebdb079b1460673a7b8d",
+    "flvmeta": "ae76200cf081a1dcede8d459fb35ff8d0e03022dac54f555e56db0db4cfbe646",
+    "gdk": "43b2f32a640da75c3175b77fdd3f94c9293b705deb04504150d166858482081b",
+    "imginfo": "6441ff54ca783ce4814385356020321999c855275cc80f14e6eab9cb03e49ead",
+    "infotocap": "e84334ab8c5f088e49e5619b88d19563ae1792f5092a945b1937ec166421c1f3",
+    "jhead": "43ae93ce02f4c826b7d79b9f517dd9408b08d7ce68e556360f909522f8b7f764",
+    "jq": "784c54436839bbdaa977affe16e0b7cc2ab4841e77119331acb85bf767b9fc57",
+    "lame": "a1b4cf63cb5f1ebd3dc22b4eeb4ca432720d2a306394b7e28133d3d63f0d0664",
+    "motivating": "38a341da0fa3fb6e4eaff7964d30f1744abe7a83fe5e5af7402a7279f1038cb8",
+    "mp3gain": "f72f0db29673da1e21e95e858992ec2a9a74b14b6219ccc68049342d25807461",
+    "mp42aac": "89b03546e951e33e059c955ec6c13851845fd1bce8f52ced48a2c146a0708c69",
+    "mujs": "0d4cabc227f9c4148baf982b868a3ce311bda2fbf358e2319d98ba0cd8a0a494",
+    "nm_new": "6641063920282531cd517dade5cdf50119b45f66200311038d5a442e452d69bf",
+    "objdump": "826bbe7bcf32d8546143447f77fbe8ff833f56d68a40619c1b6d4e921f2dede3",
+    "pdftotext": "7628afed2ac831289ca3f73ba5d699684acc1211436956964df9c40218ac856a",
+    "sqlite3": "d4f8d7f588ae256d52761bc3baeb16c7196ff0dafc50da0e3e03f87bd8caa262",
+    "tiffsplit": "ac6bec673e2e0a04436d3971371978f028dc81a4dbca917c47c8007bbb93070a",
 }
 
 # Every (cmplog, fast) variant a CompiledProgram can build.
