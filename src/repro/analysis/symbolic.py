@@ -440,8 +440,7 @@ class ConcolicExec(ShadowExec):
         for index in indices:
             cell = cells[index]
             if cell is None:
-                byte = storage[index]
-                byte = 0 if isinstance(byte, ArrayRef) else byte & 0xFF
+                byte = storage[index] & 0xFF
             else:
                 symbolic = True
                 byte = make_bin(OP_AND, cell, 255)

@@ -131,6 +131,7 @@ from repro.runtime.interpreter import (
     _READS,
     ExecutionResult,
     _Exec,
+    byte_window,
     charge_hits,
 )
 from repro.runtime.memory import MAX_ALLOC
@@ -656,6 +657,7 @@ def _load_functions(program, instrumentation, prune, cmplog, key, live, fast=Fal
         "ArrayRef": ArrayRef,
         "Timeout": Timeout,
         "_Restart": _Restart,
+        "byte_window": byte_window,
         "traps": traps,
     }
     for code in BUILTIN_CODES.values():
@@ -1585,14 +1587,15 @@ class _FunctionEmitter:
         left, lvals = self._window(out, ind, a[0], aoff, n, "_s")
         right, rvals = self._window(out, ind, a[2], boff, n, "_t")
         if self.cmplog:
-            logged = []
-            for expr, values in ((left, lvals), (right, rvals)):
-                if values is None:
-                    logged.append("bytes(v & 255 for v in %s)" % expr)
-                else:
-                    logged.append(self._const(bytes(v & 255 for v in values)))
+            # A window holding a ref logs no entry (see byte_window).
+            sides = [
+                "byte_window(%s)" % expr if values is None else self._const(bytes(values))
+                for expr, values in ((left, lvals), (right, rvals))
+            ]
             out.append(ind + "if len(_cl) < %d:" % CMPLOG_CAP)
-            out.append(ind + "    _cl.append((%s, %s))" % tuple(logged))
+            out.append(ind + "    _u = (%s, %s)" % tuple(sides))
+            out.append(ind + "    if None not in _u:")
+            out.append(ind + "        _cl.append(_u)")
         if lvals is not None and rvals is not None:
             self._setc(dst, 0 if lvals == rvals else 1)
         else:
@@ -1621,7 +1624,17 @@ class _FunctionEmitter:
             shift = 8 * (width - 1 - j if big_endian else j)
             part = "(%s[%s] & 255)" % (buf, index)
             parts.append("(%s << %d)" % (part, shift) if shift else part)
-        out.append(ind + "%s = %s" % (self._def(dst, "int"), " | ".join(parts)))
+        expr = " | ".join(parts)
+        if data is not None:
+            out.append(ind + "%s = %s" % (self._def(dst, "int"), expr))
+            return
+        # A cell holding a ref raises here: the fallback traps it, and
+        # the common path pays no per-cell test.
+        call = self._fallback(code, a, line)
+        out.append(ind + "try:")
+        out.append(ind + "    %s = %s" % (self._def(dst, "int"), expr))
+        out.append(ind + "except TypeError:")
+        out.append(ind + "    " + call)
 
     # Inlined builtins: emitter and argument shapes.  A string literal at
     # an array position is read from its pool constant, never built.

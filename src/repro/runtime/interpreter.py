@@ -549,9 +549,10 @@ class _Exec:
         left = sa[aoff : aoff + n]
         right = sb[boff : boff + n]
         if self._cmplog and len(self._cmp_log) < CMPLOG_CAP:
-            self._cmp_log.append(
-                (bytes(v & 0xFF for v in left), bytes(v & 0xFF for v in right))
-            )
+            # A window holding a ref has no bytes to log; the result stands.
+            entry = (byte_window(left), byte_window(right))
+            if None not in entry:
+                self._cmp_log.append(entry)
         return 0 if left == right else 1
 
     def _bi_copy(self, args, fname, line):
@@ -584,13 +585,10 @@ class _Exec:
         ref = self._array_arg(args[0], fname, line)
         off = self._int_arg(args[1], fname, line)
         storage = self._bounded_slice(ref, off, width, fname, line, traps.OOB_READ)
-        value = 0
-        window = storage[off : off + width]
-        if not big_endian:
-            window = list(reversed(window))
-        for byte in window:
-            value = (value << 8) | (byte & 0xFF)
-        return value
+        window = byte_window(storage[off : off + width])
+        if window is None:
+            self._trap(traps.TYPE_CONFUSION, fname, line, "array read as bytes")
+        return int.from_bytes(window, "big" if big_endian else "little")
 
     def _bi_read16(self, args, fname, line):
         return self._read_scalar(args, fname, line, 2, True)
@@ -607,6 +605,17 @@ class _Exec:
     def _bi_trap(self, args, fname, line):
         code = self._int_arg(args[0], fname, line)
         self._trap(traps.ASSERT_FAIL, fname, line, "trap(%d)" % code)
+
+
+def byte_window(cells):
+    """The low bytes of ``cells``, or None when a cell holds an array ref.
+
+    The one byte view of a heap window: ``read*`` values, cmplog's
+    ``memcmp`` entries on both backends, and taint's compare samples."""
+    try:
+        return bytes([v & 0xFF for v in cells])
+    except TypeError:
+        return None
 
 
 def _c_div(a, b):

@@ -29,7 +29,11 @@ Propagation rules (DESIGN §12):
   ``TaintMap.sound_mask`` sound.
 """
 
-from repro.runtime.interpreter import DEFAULT_CALL_DEPTH, DEFAULT_INSTR_BUDGET
+from repro.runtime.interpreter import (
+    DEFAULT_CALL_DEPTH,
+    DEFAULT_INSTR_BUDGET,
+    byte_window,
+)
 from repro.runtime.shadow import ShadowExec
 from repro.taint.map import TaintMap
 
@@ -124,18 +128,11 @@ class TaintExec(ShadowExec):
         site = (fname, line, "memcmp")
         left = right = None
         if self._tmap.wants_pair(site):
-            left = _byte_window(self._heap.storage(a), aoff, n)
-            right = _byte_window(self._heap.storage(b), boff, n)
+            left = byte_window(self._heap.storage(a)[aoff : aoff + n])
+            right = byte_window(self._heap.storage(b)[boff : boff + n])
         self._tmap.record_cmp(site, la, lb, left, right)
         return (la or 0) | (lb or 0) or None
 
     def _read_shadow(self, vals, labels, width, big_endian):
         return self._window_label(vals[0], vals[1], width, labels[0])
 
-
-def _byte_window(storage, off, n):
-    """Low bytes of ``storage[off:off+n]``; None when a cell holds an array ref."""
-    try:
-        return bytes([v & 0xFF for v in storage[off : off + n]])
-    except TypeError:
-        return None

@@ -96,8 +96,9 @@ def test_every_builtin_callable_from_minic():
 # must agree field for field with the interpreter.
 
 # Argument shapes: an integer, a writable array, a readable array (a
-# string literal when operands are literals) and a read-only string.
-I, A, R, S = "int", "array", "readable", "string"
+# string literal when operands are literals), a read-only string, and a
+# writable array whose first cell holds a ref to itself.
+I, A, R, S, H = "int", "array", "readable", "string", "holder"
 
 TC, OOB_R, OOB_W = traps.TYPE_CONFUSION, traps.OOB_READ, traps.OOB_WRITE
 NOT_INT, NOT_ARR = (TC, "expected an integer"), (TC, "expected an array")
@@ -162,6 +163,11 @@ ROWS = [
     ("fill-overrun", "fill", [(A, b"ABCD"), (I, 3), (I, 2), (I, 7)], _range(OOB_W, 3, 5, 4)),
     ("trap-type0", "trap", [(A, b"AB")], NOT_INT),
     ("trap-assert", "trap", [(I, 7)], (traps.ASSERT_FAIL, "trap(7)")),
+    # A window holding a ref: memcmp compares it (cmplog logs no entry).
+    ("memcmp-ref-window0", "memcmp", [(H, b"ABCD"), (I, 0), (R, b"ABCD"), (I, 0), (I, 2)], 1),
+    ("memcmp-ref-window1", "memcmp", [(R, b"ABCD"), (I, 0), (H, b"ABCD"), (I, 0), (I, 4)], 1),
+    ("memcmp-past-ref", "memcmp", [(H, b"ABCD"), (I, 1), (R, b"ABCD"), (I, 1), (I, 3)], 0),
+    ("copy-ref-window", "copy", [(A, b"ABCD"), (I, 0), (H, b"XY"), (I, 0), (I, 2)], 0),
 ]
 for _name, _width, _value in (
     ("read16", 2, 0x4243),
@@ -175,6 +181,8 @@ for _name, _width, _value in (
         ("%s-type1" % _name, _name, [(R, b"ABCDE"), (S, b"AB")], NOT_INT),
         ("%s-negative-offset" % _name, _name, [(R, b"ABCDE"), (I, -1)], _range(OOB_R, -1, _width - 1, 5)),
         ("%s-overrun" % _name, _name, [(R, b"ABCDE"), (I, 4)], _range(OOB_R, 4, 4 + _width, 5)),
+        ("%s-ref-window" % _name, _name, [(H, b"ABCDE"), (I, 0)], (TC, "array read as bytes")),
+        ("%s-past-ref" % _name, _name, [(H, b"ABCDE"), (I, 1)], _value),
     ]
 
 MODES = ("runtime", "constant", "literal")
@@ -196,8 +204,10 @@ def render(builtin, args, mode):
     if mode == "runtime":
         lines.append("    var box = alloc(%d);" % len(args))
     for j, (shape, value) in enumerate(args):
-        if shape in (A, R) and not (shape == R and mode == "literal"):
+        if shape in (A, R, H) and not (shape == R and mode == "literal"):
             lines.append(_array_lines("v%d" % j, value))
+            if shape == H:
+                lines.append("    v%d[0] = v%d;" % (j, j))
             expr = "v%d" % j
         elif shape in (R, S):
             expr = _literal(value)
@@ -265,6 +275,10 @@ def run_all_executors(program, data=b"\x01\x02"):
         for cmplog in (False, True):
             ref = interp_execute(program, data, instrumentation, cmplog=cmplog)
             want = outcome(ref)
+            if not cmplog:
+                without_cmplog = want
+            # cmplog only observes: everything but its log is the plain run's.
+            assert want[:-1] == without_cmplog[:-1], (name, "cmplog")
             runs = {
                 "fast": compiled.execute(data, cmplog=cmplog),
                 "exact": _run_exact(compiled, data, cmplog),
@@ -296,3 +310,25 @@ def test_builtin_trap_rules(builtin, args, expected, mode):
         assert result.trap is None, result.trap
         if expected is not None:
             assert result.retval == expected
+
+
+# ROADMAP item 4's reproducers: a window holding an array ref.
+READ_REF = "fn main(input) { var a = alloc(4); a[0] = a; return %s(a, 0); }"
+MEMCMP_REF = (
+    "fn main(input) { var a = alloc(2); var b = alloc(2); a[0] = b;"
+    " if (memcmp(a, 0, b, 0, 2) == 0) { return 1; } return 0; }"
+)
+
+
+@pytest.mark.parametrize("name", ["read16", "read32", "read16le", "read32le"])
+def test_read_over_a_ref_traps_type_confusion(name):
+    result = run_all_executors(compile_source(READ_REF % name))
+    assert (result.trap.kind, result.trap.detail) == (TC, "array read as bytes")
+
+
+def test_cmplog_memcmp_over_a_ref_keeps_the_plain_result():
+    program = compile_source(MEMCMP_REF)
+    result = run_all_executors(program)
+    assert (result.retval, result.trap) == (0, None)
+    # The memcmp logs no entry; the `== 0` compare after it still does.
+    assert interp_execute(program, b"", cmplog=True).cmp_log == [(1, 0)]
