@@ -27,6 +27,7 @@ from repro.cfg.graph import FunctionCFG, remap_targets
 from repro.cfg.program import ProgramCFG
 from repro.lang import ast_nodes as ast
 from repro.lang.builtins_spec import BUILTIN_CODES
+from repro.runtime.values import wrap_int
 
 
 def lower_program(program_ast, source_name="<program>"):
@@ -231,7 +232,8 @@ class _FuncLowerer:
         """Lower ``expr``; return (result_register, open_block)."""
         if isinstance(expr, ast.IntLit):
             reg = self._cfg.new_reg()
-            cur.instrs.append((CONST, reg, expr.value))
+            # Literals wrap like every VM integer: 2**64 - 1 is -1.
+            cur.instrs.append((CONST, reg, wrap_int(expr.value)))
             return reg, cur
         if isinstance(expr, ast.StrLit):
             reg = self._cfg.new_reg()

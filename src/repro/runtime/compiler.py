@@ -857,10 +857,9 @@ class _FunctionEmitter:
         """``rd = expr`` wrapped to signed 64 bits (== values.wrap_int).
 
         The wrap costs three long operations and overflow is rare, so it
-        runs only when the result leaves the int64 range.  Every operator
-        keeps the guard, BNOT and MOD included: an integer literal outside
-        the range reaches registers unwrapped, so operands are not always
-        int64."""
+        runs only when the result leaves the int64 range.  Every VM integer
+        is an int64 (literals are wrapped when lowered), so BNOT and MOD,
+        which cannot leave the range, take no guard."""
         out.append(ind + "%s = %s" % (rd, expr))
         out.append(ind + "if %s > %d or %s < %d:" % (rd, _SIGN - 1, rd, -_SIGN))
         out.append(ind + "    %s = ((%s + %d) & %d) - %d" % (rd, rd, _SIGN, _U64, _SIGN))
@@ -1296,7 +1295,7 @@ class _FunctionEmitter:
                 self._emit_wrapped(out, inner, rd, quot)
             else:
                 out.append(inner + "_w = " + quot)
-                self._emit_wrapped(out, inner, rd, "%s - _w * %s" % (ra, rb))
+                out.append(inner + "%s = %s - _w * %s" % (rd, ra, rb))
         else:  # OP_SHL / OP_SHR
             if vb is None:
                 out.append(inner + "if %s < 0 or %s > 63:" % (rb, rb))
@@ -1339,7 +1338,10 @@ class _FunctionEmitter:
         if not safe:
             out.append(ind + "try:")
             inner = ind + "    "
-        self._emit_wrapped(out, inner, rd, ("-%s" if unop == OP_NEG else "~%s") % ra)
+        if unop == OP_BNOT:
+            out.append(inner + "%s = ~%s" % (rd, ra))
+        else:
+            self._emit_wrapped(out, inner, rd, "-%s" % ra)
         if not safe:
             out.append(ind + "except TypeError:")
             self._emit_trap(

@@ -121,6 +121,7 @@ ROWS = [
     ("min-ok", "min", [(I, 4), (I, -2)], -2),
     ("min-type0", "min", [(A, b"AB"), (I, 1)], NOT_INT),
     ("min-type1", "min", [(I, 1), (S, b"ab")], NOT_INT),
+    ("min-wrapped-literal", "min", [(I, (1 << 64) - 1), (I, 0)], -1),
     ("max-ok", "max", [(I, 4), (I, -2)], 4),
     ("max-type0", "max", [(S, b"ab"), (I, 1)], NOT_INT),
     ("max-type1", "max", [(I, 1), (A, b"AB")], NOT_INT),

@@ -110,9 +110,8 @@ def run_everywhere(source, inputs, feedbacks=("path", "edge")):
 # -- the overflow-only wrap -----------------------------------------------------
 
 # Case index -> expression over run-time operands.  ``x`` and ``y`` are
-# int64s read from input bytes; ``v`` is an out-of-range literal unless
-# the input selects ``x`` (literals are not wrapped by the front end, so
-# operands are not always int64: every operator keeps its guard).
+# int64s read from input bytes; ``v`` is an out-of-range literal (wrapped
+# to -1 when lowered) unless the input selects ``x``.
 CASES = (
     "x + y",
     "x - y",
@@ -226,7 +225,8 @@ def test_named_int64_edges():
     for (case, x, y), result in zip(expect, results):
         assert result.trap is None
         assert result.retval == expect[(case, x, y)], (CASES[case], x, y)
-    # An out-of-range literal reaches BNOT, NEG and the others unwrapped.
+    # An out-of-range literal reaches BNOT, NEG and the others as its
+    # int64 value (literals are wrapped when lowered).
     literal = (1 << 64) - 1
     inputs = [_operands(0, 5, case) for case in range(19, 28)]
     results = run_everywhere(BOUNDARY, inputs, feedbacks=("path",))

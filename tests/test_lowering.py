@@ -172,3 +172,20 @@ def test_call_lowering_argument_order():
     from repro.runtime import execute
 
     assert execute(program, b"").retval == 6
+
+
+def test_integer_literals_wrap_to_int64():
+    """An out-of-range literal is lowered as its int64 value, so codegen
+    folding (which wraps) and the interpreter (which does not re-wrap
+    AND/OR/XOR/SHR or compares) see the same operand."""
+    from repro.cfg.instructions import CONST
+    from repro.runtime.compiler import execute as compiled_execute
+    from repro.runtime.interpreter import execute as interp_execute
+
+    cfg = lower_main("return 18446744073709551615;")
+    assert (CONST, cfg.blocks[0].instrs[0][1], -1) in cfg.blocks[0].instrs
+    program = compile_source(
+        "fn f(a) { return a & a; } fn main(input) { return f(18446744073709551615); }"
+    )
+    assert interp_execute(program, b"").retval == -1
+    assert compiled_execute(program, b"").retval == -1
