@@ -28,23 +28,23 @@ from repro.subjects import all_subject_names, get_subject
 
 PINNED = {
     "cflow": "26faa1c9309b6e3014c93617c8bcec207b8648264ee370e1e1fc948287e27fe4",
-    "exiv2": "3d967f876835622b011492efe5a8f7796f7706e3ef423b542f647b5a1d6abc14",
+    "exiv2": "9ec1290124ddbdea6177e86ea1547d4cf86a54f0a1122e0b2b088fd4ac1922f6",
     "ffmpeg": "d735cc6940a838bc87d24b37159e7b40c5d71643ab37d80ca12f5cf56c3fbccb",
     "flvmeta": "29bc0cbd2b4e78a3b50cc40f414945d4af9fdd6cf82dadce223d8ce53e2839b6",
     "gdk": "b451cc48fc81d2ccbb3f672a5b1021d20871ebd8c142e2757032d0f825be4e28",
     "imginfo": "6441ff54ca783ce4814385356020321999c855275cc80f14e6eab9cb03e49ead",
-    "infotocap": "e84334ab8c5f088e49e5619b88d19563ae1792f5092a945b1937ec166421c1f3",
+    "infotocap": "52760b87ae3196a8d2bed3fa41cd27a88e1082466e1c066308a270febda59384",
     "jhead": "0e6fc12cea8fa5aead20e57fc6b2ac8f2d58a1ca795375a6160e6a1fe39c69d4",
     "jq": "383092a9ae8df194e999d816ad7c948d23ff9345e9468ab1cd0d45a1bc7c07bc",
     "lame": "6116119a258d5fb2f6ca703b64c2e4186c4f924ba5568af9d5e124aa39f26409",
-    "motivating": "38a341da0fa3fb6e4eaff7964d30f1744abe7a83fe5e5af7402a7279f1038cb8",
+    "motivating": "c102035499f272eaec279e092ae61b5880ae4bdc6a4e6367cdd6ec507d1d30b5",
     "mp3gain": "f72f0db29673da1e21e95e858992ec2a9a74b14b6219ccc68049342d25807461",
     "mp42aac": "6da1d89bc8eb1a33aa5ae2040fe5efe90a706e0d5187eb510337230d7bfd8301",
     "mujs": "0d4cabc227f9c4148baf982b868a3ce311bda2fbf358e2319d98ba0cd8a0a494",
-    "nm_new": "0895520e76817b504b4f32bf069e7126a64349e9a07381a967b379434e7cd18f",
-    "objdump": "c11c2d41d71304eae0bffcc6fd20831724f0109da3939cc735005c69eedf460b",
+    "nm_new": "bb98898d67b4814f9aab6388a2cce8ce48455635e15409d0137c6271aedaf68a",
+    "objdump": "8ed495ef3e8916b0e4895c2d39bfe2b09e1bc3d17a4058d1a191ca51d1651c18",
     "pdftotext": "94e0efd22caac6694a01cb8196b24f26cc8d775a00700e85169d68f715fa9fe3",
-    "sqlite3": "f6bacb5381ee3899ec22acfff6379126e9a67119555a7fc7f9bbbfdd9f6d5752",
+    "sqlite3": "b96a73b7095b52216896b72801b58ef7dd7a259be7249ac5b510216a27de3c8a",
     "tiffsplit": "ac6bec673e2e0a04436d3971371978f028dc81a4dbca917c47c8007bbb93070a",
 }
 
