@@ -1655,26 +1655,16 @@ class _FunctionEmitter:
 
     # -- inlined IR calls --------------------------------------------------
 
+    # The emission context an inline site swaps in, saved and restored by
+    # attribute name.
+    _CONTEXT = (
+        "func", "fname", "rp", "pr", "label_base", "cont_label", "ret_reg",
+        "inline_site", "edge_acts", "ret_acts", "entry_acts",
+        "env", "pend", "kind", "buf", "lit", "prv",
+    )
+
     def _enter_inline(self, callee, site, base, cont, ret_reg):
-        saved = (
-            self.func,
-            self.fname,
-            self.rp,
-            self.pr,
-            self.label_base,
-            self.cont_label,
-            self.ret_reg,
-            self.inline_site,
-            self.edge_acts,
-            self.ret_acts,
-            self.entry_acts,
-            self.env,
-            self.pend,
-            self.kind,
-            self.buf,
-            self.lit,
-            self.prv,
-        )
+        saved = [getattr(self, name) for name in self._CONTEXT]
         self.func = callee
         self.fname = repr(callee.name)
         self.rp = "i%d_r" % site
@@ -1690,25 +1680,8 @@ class _FunctionEmitter:
         return saved
 
     def _restore(self, saved):
-        (
-            self.func,
-            self.fname,
-            self.rp,
-            self.pr,
-            self.label_base,
-            self.cont_label,
-            self.ret_reg,
-            self.inline_site,
-            self.edge_acts,
-            self.ret_acts,
-            self.entry_acts,
-            self.env,
-            self.pend,
-            self.kind,
-            self.buf,
-            self.lit,
-            self.prv,
-        ) = saved
+        for name, value in zip(self._CONTEXT, saved):
+            setattr(self, name, value)
 
     def _inline_args(self, out, ind, args):
         """Caller-side operand, kind and string-literal entry of each
