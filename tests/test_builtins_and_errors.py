@@ -3,21 +3,12 @@ builtins' trap rules on every executor."""
 
 import pytest
 
-from repro.analysis.symbolic import extract_path_condition
-from repro.coverage.feedback import feedback_by_name
 from repro.lang import compile_source
 from repro.lang.builtins_spec import BUILTIN_CODES, BUILTIN_NAMES, BUILTINS
 from repro.lang.errors import LexError, MiniCError, ParseError, SemaError
 from repro.runtime import traps
-from repro.runtime.compiler import _Rt, compile_program
-from repro.runtime.interpreter import (
-    DEFAULT_CALL_DEPTH,
-    DEFAULT_INSTR_BUDGET,
-    charge_hits,
-    execute as interp_execute,
-)
-from repro.runtime.values import ArrayRef
-from repro.taint import taint_execute
+from repro.runtime.interpreter import execute as interp_execute
+from tests.executors import run_all_executors
 
 
 def test_builtin_codes_bijective():
@@ -223,76 +214,6 @@ def render(builtin, args, mode):
         operands.append(expr)
     lines.append("    return %s(%s);" % (builtin, ", ".join(operands)))
     return "fn main(input) {\n%s\n}\n" % "\n".join(lines)
-
-
-def _value_key(value):
-    # Refs compare by identity, which differs between any two runs.
-    if isinstance(value, ArrayRef):
-        return ("ref", value.array_id, value.readonly)
-    return value
-
-
-def outcome(result):
-    """What a trap rule decides, plus everything the executors must share."""
-    trap = result.trap
-    trap_key = None
-    if trap is not None:
-        frames = tuple((fr.function, fr.line) for fr in trap.stack)
-        trap_key = (trap.kind, trap.detail, trap.function, trap.line, frames)
-    return (
-        _value_key(result.retval),
-        trap_key,
-        result.timeout,
-        result.instr_count,
-        result.probe_count,
-        result.probe_cost,
-        dict(result.hits),
-        [tuple(_value_key(v) for v in entry) for entry in result.cmp_log],
-    )
-
-
-def _run_exact(compiled, data, cmplog):
-    """The exact compiled variant, which ``execute`` reaches only on a
-    budget overrun."""
-    runtime = _Rt(
-        compiled._functions(cmplog),
-        compiled.program,
-        compiled.instrumentation,
-        DEFAULT_INSTR_BUDGET,
-        DEFAULT_CALL_DEPTH,
-        cmplog,
-    )
-    result = runtime.run(data)
-    return charge_hits(result) if compiled.instrumentation.pure_hit else result
-
-
-def run_all_executors(program, data=b"\x01\x02"):
-    """The interpreter's result, after checking every other executor
-    against it under ``edge`` and ``path``, cmplog off and on."""
-    plain = None
-    for name in ("edge", "path"):
-        instrumentation = feedback_by_name(name).instrument(program)
-        compiled = compile_program(program, instrumentation)
-        for cmplog in (False, True):
-            ref = interp_execute(program, data, instrumentation, cmplog=cmplog)
-            want = outcome(ref)
-            if not cmplog:
-                without_cmplog = want
-            # cmplog only observes: everything but its log is the plain run's.
-            assert want[:-1] == without_cmplog[:-1], (name, "cmplog")
-            runs = {
-                "fast": compiled.execute(data, cmplog=cmplog),
-                "exact": _run_exact(compiled, data, cmplog),
-                "taint": taint_execute(program, data, instrumentation, cmplog=cmplog)[0],
-            }
-            if not cmplog:
-                runs["concolic"] = extract_path_condition(
-                    program, data, instrumentation=instrumentation
-                )[0]
-                plain = plain or ref
-            for executor, result in runs.items():
-                assert outcome(result) == want, (name, cmplog, executor)
-    return plain
 
 
 @pytest.mark.parametrize("mode", MODES)

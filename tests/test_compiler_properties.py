@@ -6,7 +6,11 @@ each example is a full differential run across backends — return value,
 trap identity, timeout, instruction count, probe accounting, coverage map,
 and Ball-Larus path ids all must match.  A second property checks the
 probe-pruning layer's obligations on random programs via
-:func:`repro.coverage.prune.check_plan`.
+:func:`repro.coverage.prune.check_plan`.  A third draws programs over the
+whole builtin surface (``programs(builtins=True)``) and runs every
+executor on them: no Python exception may escape any of them, the
+compiled variants must equal the interpreter, and taint and concolic
+runs must return the plain run's result.
 """
 
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from repro.coverage.prune import build_prune_plan, check_plan
 from repro.lang import compile_source
 from repro.runtime.compiler import execute as compiled_execute
 from repro.runtime.interpreter import execute as interp_execute
+from tests.executors import run_all_executors
 from tests.genprog import programs
 
 INPUTS = (b"", b"\x00", b"\x80", b"\xff\x01\x02\x03", bytes(range(32)))
@@ -88,3 +93,11 @@ def test_prune_plan_sound_on_random_programs(source):
     # violated obligation (trap identity, coverage map after
     # reconstruction, accounting).
     check_plan(program, instrumentation, plan, INPUTS)
+
+
+@given(programs(builtins=True))
+@settings(max_examples=80, deadline=None)
+def test_every_executor_agrees_on_builtin_programs(source):
+    program = compile_source(source)
+    for data in INPUTS:
+        run_all_executors(program, data)
