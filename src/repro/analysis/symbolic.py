@@ -47,7 +47,7 @@ from repro.runtime.interpreter import (
     _c_mod,
 )
 from repro.runtime.shadow import ShadowExec
-from repro.runtime.values import ArrayRef, wrap_int
+from repro.runtime.values import wrap_int
 
 # Expression nodes beyond this size degrade to concrete (None): huge
 # expressions solve poorly and slow every interval evaluation down.

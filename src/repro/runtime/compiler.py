@@ -103,7 +103,6 @@ from repro.cfg.instructions import (
     OP_MOD,
     OP_MUL,
     OP_NE,
-    OP_NEG,
     OP_OR,
     OP_SHL,
     OP_SHR,
@@ -111,7 +110,6 @@ from repro.cfg.instructions import (
     OP_XOR,
     RET,
     STORE,
-    STR,
     UN,
     instr_uses,
 )
@@ -168,13 +166,14 @@ class _Rt(_Exec):
     Subclasses the interpreter's executor so the heap, builtins, trap and
     stack-trace machinery, cmplog harvesting, and the out-of-line probe
     kinds (n-gram, h-path, path pairs) are *the same code* in both
-    backends.  Generated code leaves through two helpers: ``_trap_at`` for
+    backends.  Generated code traps through two helpers: ``_trap_at`` for
     its own trap exits (LOAD/STORE, operators, call depth) and ``_bi_at``
     for an inlined builtin whose guard failed, which traps through the
-    builtin's ``_Exec._bi_*`` method.  The instruction counter moves into a one-element list
-    (``_count_cell``) so generated code can flush its local tally through a
-    fast alias; the ``_count`` property keeps the builtins' accounting and
-    the result construction transparently in sync.
+    builtin's ``_Exec._bi_*`` method.  The instruction counter moves into
+    a one-element list (``_count_cell``) so generated code can flush its
+    local tally through a fast alias; the ``_count`` property keeps the
+    builtins' accounting and the result construction transparently in
+    sync.
     """
 
     def __init__(
