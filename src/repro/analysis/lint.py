@@ -53,6 +53,7 @@ from repro.cfg.optimize import optimize_program
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.sema import check_program
+from repro.runtime.values import wrap_int
 
 _SEVERITY_ORDER = {"error": 0, "warning": 1, "info": 2}
 
@@ -214,7 +215,7 @@ def _check_unreachable_stmts(func, name, findings):
 def _const_eval(expr):
     """Fold an expression of literals to an int, or None."""
     if isinstance(expr, ast.IntLit):
-        return expr.value
+        return wrap_int(expr.value)  # as lowered
     if isinstance(expr, ast.UnOp):
         value = _const_eval(expr.operand)
         if value is None:

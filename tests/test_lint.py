@@ -90,6 +90,15 @@ def test_constant_condition():
     assert "false" in hits[0].message or "not taken" in hits[0].message
 
 
+def test_constant_condition_reads_literals_as_int64():
+    # 2**64 is lowered as 0, so the branch is never taken.
+    findings = lint_source(
+        "fn main(input) { if (18446744073709551616) { return 3; } return 0; }"
+    )
+    hits = by_rule(findings, "constant-condition")
+    assert hits and "false" in hits[0].message
+
+
 def test_tautological_comparison_by_value_ranges():
     # x is input-dependent (SCCP sees nothing), but x & 15 is in [0, 15]
     # so x > 20 is provably false — only the interval rule can say so.
