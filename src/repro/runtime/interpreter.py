@@ -585,10 +585,14 @@ class _Exec:
         ref = self._array_arg(args[0], fname, line)
         off = self._int_arg(args[1], fname, line)
         storage = self._bounded_slice(ref, off, width, fname, line, traps.OOB_READ)
-        window = byte_window(storage[off : off + width])
-        if window is None:
+        window = storage[off : off + width]
+        value = 0
+        try:
+            for byte in window if big_endian else reversed(window):
+                value = (value << 8) | (byte & 0xFF)
+        except TypeError:  # a cell holds an array ref
             self._trap(traps.TYPE_CONFUSION, fname, line, "array read as bytes")
-        return int.from_bytes(window, "big" if big_endian else "little")
+        return value
 
     def _bi_read16(self, args, fname, line):
         return self._read_scalar(args, fname, line, 2, True)
@@ -610,8 +614,8 @@ class _Exec:
 def byte_window(cells):
     """The low bytes of ``cells``, or None when a cell holds an array ref.
 
-    The one byte view of a heap window: ``read*`` values, cmplog's
-    ``memcmp`` entries on both backends, and taint's compare samples."""
+    The one byte view of a heap window: cmplog's ``memcmp`` entries on
+    both backends, and taint's compare samples."""
     try:
         return bytes([v & 0xFF for v in cells])
     except TypeError:
