@@ -1433,13 +1433,9 @@ class _FunctionEmitter:
         return True
 
     # -- inline builtins ---------------------------------------------------
-    # An inlined builtin keeps only its fast path: the value and its
-    # virtual-time charge (in the local counter), under one guard that is
-    # the disjunction of the builtin's class and bounds tests, class tests
-    # first so no ``<`` ever sees an ArrayRef.  When the guard fails, or
-    # codegen proves it always fails, ``rt._bi_at`` runs the builtin's
-    # ``_Exec._bi_*`` method, which traps with its own kind, detail and
-    # check order.  copy/fill/trap are not inlined: they are rare and
+    # Fast path under one guard, ``rt._bi_at`` on failure (see the module
+    # docstring).  Class tests come first, so no ``<`` ever sees an
+    # ArrayRef.  copy/fill/trap are not inlined: they are rare and
     # mutation-heavy.
 
     # Per argument shape ("a" array, "i" integer): the kinds that prove
