@@ -585,8 +585,8 @@ class _Exec:
         ref = self._array_arg(args[0], fname, line)
         off = self._int_arg(args[1], fname, line)
         storage = self._bounded_slice(ref, off, width, fname, line, traps.OOB_READ)
-        window = storage[off : off + width]
         value = 0
+        window = storage[off : off + width]
         try:
             for byte in window if big_endian else reversed(window):
                 value = (value << 8) | (byte & 0xFF)
