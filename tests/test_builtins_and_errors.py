@@ -234,7 +234,7 @@ def test_builtin_trap_rules(builtin, args, expected, mode):
             assert result.retval == expected
 
 
-# ROADMAP item 4's reproducers: a window holding an array ref.
+# The ref-window reproducers: a window holding an array ref.
 READ_REF = "fn main(input) { var a = alloc(4); a[0] = a; return %s(a, 0); }"
 MEMCMP_REF = (
     "fn main(input) { var a = alloc(2); var b = alloc(2); a[0] = b;"
