@@ -50,7 +50,7 @@ def expressions(draw, depth=0, builtins=False):
     if choice == 2:
         return "in0"  # first input byte, loaded once up front
     if choice > 5 or depth >= 2:
-        return draw(builtin_calls(depth, builtins))
+        return draw(builtin_calls(depth))
     left = draw(expressions(depth=depth + 1, builtins=builtins))
     right = draw(expressions(depth=depth + 1, builtins=builtins))
     if choice == 3:
@@ -66,11 +66,11 @@ def expressions(draw, depth=0, builtins=False):
 
 
 @st.composite
-def builtin_calls(draw, depth, builtins):
+def builtin_calls(draw, depth):
     """An integer-valued builtin call or array load."""
     arr = st.sampled_from(ARRAYS)
     win = st.sampled_from(WINDOW)
-    inner = expressions(depth=depth + 1, builtins=builtins)
+    inner = expressions(depth=depth + 1, builtins=True)
     kind = draw(st.integers(0, 5))
     if kind == 0:
         return "%s[%s]" % (draw(arr), draw(win))
