@@ -13,12 +13,7 @@ All passes preserve observable behaviour (including trap sites, which are
 never folded away).
 """
 
-from repro.analysis.foldops import (
-    FOLDABLE_BIN as _FOLDABLE_BIN,
-    FOLDABLE_UN as _FOLDABLE_UN,
-    fold_binop,
-    fold_unop,
-)
+from repro.analysis.foldops import fold_binop, fold_unop
 from repro.cfg.instructions import (
     BIN,
     BR,

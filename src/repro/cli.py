@@ -1213,7 +1213,7 @@ def cmd_job(args):
     import json
 
     from repro.fuzzer.store import StoreLockError
-    from repro.service import list_job_crashes, load_job_table, submit_offline
+    from repro.service import list_job_crashes, submit_offline
     from repro.service.intake import drain_request
     from repro.service.orchestrator import (
         JOBS_DIR,

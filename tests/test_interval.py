@@ -1,14 +1,11 @@
 """Interval abstract-interpretation tests: soundness, widening, proofs."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.constprop import conditional_constants
 from repro.analysis.foldops import fold_binop, fold_unop
 from repro.analysis.interval import (
-    FULL,
     INT_MAX,
     INT_MIN,
     Interval,

@@ -22,8 +22,6 @@ import hashlib
 import json
 import os
 
-import pytest
-
 from repro.service.jobs import fold_state
 from repro.service.journal import (
     JobJournal,

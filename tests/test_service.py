@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
-from repro.fuzzer.store import StoreLockError, atomic_write_bytes
+from repro.fuzzer.store import atomic_write_bytes
 from repro.fuzzer.supervisor import failure_category
 from repro.service import (
     AdmissionError,
