@@ -1,11 +1,11 @@
 """Mutation operators.
 
-The havoc stage stacks a random number of the operators below, as AFL++
-does; the reduced ``legacy`` set approximates the older AFL 2.52b stack used
-by the PathAFL/AFL baselines (no dictionary-less token intelligence, fewer
-width-aware arithmetic variants).
-
-All operators work on a ``bytearray`` and respect ``max_len``.
+The havoc stage stacks a random number of operators, as AFL++ does; the
+reduced ``legacy`` set approximates the older AFL 2.52b stack used by the
+PathAFL/AFL baselines (no dictionary-less token intelligence, fewer
+width-aware arithmetic variants).  ``havoc`` runs every operator as a
+branch of one loop over a ``bytearray``, named by the codes below, and
+respects ``max_len``.
 
 Stream contract: every draw below consumes exactly the Mersenne-Twister
 words that ``random.Random.randrange``/``choice`` would, in the same order,
@@ -22,7 +22,8 @@ randrange(256)`` the value is drawn before the position, as Python
 evaluates the right-hand side first.  Changing which words a draw consumes,
 or their order, changes every campaign trajectory and must re-bless both
 ``tests/test_trajectory_pin.py`` and ``tests/test_targeted_pin.py``;
-``tests/test_mutators.py`` keeps the original operators as an oracle.
+``tests/test_mutators.py`` keeps the original operators, one function
+each, as an oracle for every branch.
 """
 
 INTERESTING_8 = (-128, -1, 0, 1, 16, 32, 64, 100, 127)
@@ -40,11 +41,11 @@ ARITH_MAX = 35
 # tuples above: byte values, and (big-endian, little-endian) encodings.
 INTERESTING_8_U8 = tuple(v & 0xFF for v in INTERESTING_8)
 _INTERESTING_16_BYTES = tuple(
-    tuple((v & 0xFFFF).to_bytes(2, order) for v in INTERESTING_16)
+    tuple(tuple((v & 0xFFFF).to_bytes(2, order)) for v in INTERESTING_16)
     for order in ("big", "little")
 )
 _INTERESTING_32_BYTES = tuple(
-    tuple((v & 0xFFFFFFFF).to_bytes(4, order) for v in INTERESTING_32)
+    tuple(tuple((v & 0xFFFFFFFF).to_bytes(4, order)) for v in INTERESTING_32)
     for order in ("big", "little")
 )
 
@@ -61,267 +62,50 @@ def random_bytes(rng, size):
     return block
 
 
-def flip_bit(rng, data, max_len):
-    if not data:
-        return False
-    gb = rng.getrandbits
-    n = len(data) << 3
-    k = n.bit_length()
-    pos = gb(k)
-    while pos >= n:
-        pos = gb(k)
-    data[pos >> 3] ^= 128 >> (pos & 7)
-    return True
+# Operator codes.  ``havoc`` branches on ranges of them, so the groups
+# that share draws stay adjacent: the one-byte operators, the word and dword
+# operators, the growing blocks, the same-size-or-shrinking blocks, tokens.
+(
+    FLIP_BIT,
+    SET_RANDOM_BYTE,
+    SET_INTERESTING_BYTE,
+    SET_INTERESTING_WORD,
+    SET_INTERESTING_DWORD,
+    ARITH_BYTE,
+    ARITH_WORD,
+    CLONE_BLOCK,
+    INSERT_RANDOM_BLOCK,
+    DELETE_BLOCK,
+    OVERWRITE_BLOCK,
+    OVERWRITE_TOKEN,
+    INSERT_TOKEN,
+) = range(13)
 
-
-def set_random_byte(rng, data, max_len):
-    if not data:
-        return False
-    gb = rng.getrandbits
-    value = gb(9)
-    while value >= 256:
-        value = gb(9)
-    n = len(data)
-    k = n.bit_length()
-    pos = gb(k)
-    while pos >= n:
-        pos = gb(k)
-    data[pos] = value
-    return True
-
-
-def set_interesting_byte(rng, data, max_len):
-    if not data:
-        return False
-    gb = rng.getrandbits
-    i = gb(4)
-    while i >= 9:
-        i = gb(4)
-    n = len(data)
-    k = n.bit_length()
-    pos = gb(k)
-    while pos >= n:
-        pos = gb(k)
-    data[pos] = INTERESTING_8_U8[i]
-    return True
-
-
-def set_interesting_word(rng, data, max_len):
-    n = len(data) - 1
-    if n < 1:
-        return False
-    gb = rng.getrandbits
-    k = n.bit_length()
-    start = gb(k)
-    while start >= n:
-        start = gb(k)
-    i = gb(4)
-    while i >= 10:
-        i = gb(4)
-    data[start : start + 2] = _INTERESTING_16_BYTES[rng.random() >= 0.5][i]
-    return True
-
-
-def set_interesting_dword(rng, data, max_len):
-    n = len(data) - 3
-    if n < 1:
-        return False
-    gb = rng.getrandbits
-    k = n.bit_length()
-    start = gb(k)
-    while start >= n:
-        start = gb(k)
-    i = gb(3)
-    while i >= 7:
-        i = gb(3)
-    data[start : start + 4] = _INTERESTING_32_BYTES[rng.random() >= 0.5][i]
-    return True
-
-
-def arith_byte(rng, data, max_len):
-    if not data:
-        return False
-    gb = rng.getrandbits
-    n = len(data)
-    k = n.bit_length()
-    pos = gb(k)
-    while pos >= n:
-        pos = gb(k)
-    delta = gb(6)
-    while delta >= ARITH_MAX:
-        delta = gb(6)
-    delta += 1
-    if rng.random() < 0.5:
-        delta = -delta
-    data[pos] = (data[pos] + delta) & 0xFF
-    return True
-
-
-def arith_word(rng, data, max_len):
-    n = len(data) - 1
-    if n < 1:
-        return False
-    gb = rng.getrandbits
-    k = n.bit_length()
-    start = gb(k)
-    while start >= n:
-        start = gb(k)
-    order = "big" if rng.random() < 0.5 else "little"
-    value = int.from_bytes(data[start : start + 2], order)
-    delta = gb(6)
-    while delta >= ARITH_MAX:
-        delta = gb(6)
-    delta += 1
-    if rng.random() < 0.5:
-        delta = -delta
-    data[start : start + 2] = ((value + delta) & 0xFFFF).to_bytes(2, order)
-    return True
-
-
-def clone_block(rng, data, max_len):
-    length = len(data)
-    if not data or length >= max_len:
-        return False
-    gb = rng.getrandbits
-    n = min(length, max_len - length)
-    k = n.bit_length()
-    size = gb(k)
-    while size >= n:
-        size = gb(k)
-    size += 1
-    n = length - size + 1
-    k = n.bit_length()
-    src = gb(k)
-    while src >= n:
-        src = gb(k)
-    n = length + 1
-    k = n.bit_length()
-    dst = gb(k)
-    while dst >= n:
-        dst = gb(k)
-    data[dst:dst] = data[src : src + size]
-    return True
-
-
-def insert_random_block(rng, data, max_len):
-    length = len(data)
-    if length >= max_len:
-        return False
-    gb = rng.getrandbits
-    n = min(16, max_len - length)
-    k = n.bit_length()
-    size = gb(k)
-    while size >= n:
-        size = gb(k)
-    n = length + 1
-    k = n.bit_length()
-    dst = gb(k)
-    while dst >= n:
-        dst = gb(k)
-    data[dst:dst] = random_bytes(rng, size + 1)
-    return True
-
-
-def delete_block(rng, data, max_len):
-    length = len(data)
-    if length < 2:
-        return False
-    gb = rng.getrandbits
-    n = length - 1
-    k = n.bit_length()
-    size = gb(k)
-    while size >= n:
-        size = gb(k)
-    size += 1
-    n = length - size + 1
-    k = n.bit_length()
-    start = gb(k)
-    while start >= n:
-        start = gb(k)
-    del data[start : start + size]
-    return True
-
-
-def overwrite_block(rng, data, max_len):
-    length = len(data)
-    if length < 2:
-        return False
-    gb = rng.getrandbits
-    n = length - 1
-    k = n.bit_length()
-    size = gb(k)
-    while size >= n:
-        size = gb(k)
-    size += 1
-    n = length - size + 1
-    k = n.bit_length()
-    src = gb(k)
-    while src >= n:
-        src = gb(k)
-    dst = gb(k)
-    while dst >= n:
-        dst = gb(k)
-    data[dst : dst + size] = data[src : src + size]
-    return True
-
-
-def _dict_op(insert):
-    def op(rng, data, max_len, tokens):
-        if not tokens:
-            return False
-        gb = rng.getrandbits
-        n = len(tokens)
-        k = n.bit_length()
-        i = gb(k)
-        while i >= n:
-            i = gb(k)
-        token = tokens[i]
-        if insert:
-            if len(data) + len(token) > max_len:
-                return False
-            width = 0
-        else:
-            width = len(token)
-            if width > len(data):
-                return False
-        n = len(data) - width + 1
-        k = n.bit_length()
-        dst = gb(k)
-        while dst >= n:
-            dst = gb(k)
-        data[dst : dst + width] = token
-        return True
-
-    return op
-
-
-overwrite_token = _dict_op(insert=False)
-insert_token = _dict_op(insert=True)
-
-# The modern (AFL++-like) havoc repertoire.
+# The modern (AFL++-like) havoc repertoire, in the order the operator draw
+# indexes it.  The token operators are drawn apart, when there are tokens.
 HAVOC_OPS = (
-    flip_bit,
-    set_random_byte,
-    set_interesting_byte,
-    set_interesting_word,
-    set_interesting_dword,
-    arith_byte,
-    arith_word,
-    clone_block,
-    insert_random_block,
-    delete_block,
-    overwrite_block,
+    FLIP_BIT,
+    SET_RANDOM_BYTE,
+    SET_INTERESTING_BYTE,
+    SET_INTERESTING_WORD,
+    SET_INTERESTING_DWORD,
+    ARITH_BYTE,
+    ARITH_WORD,
+    CLONE_BLOCK,
+    INSERT_RANDOM_BLOCK,
+    DELETE_BLOCK,
+    OVERWRITE_BLOCK,
 )
 
 # The reduced AFL 2.52b-era repertoire for the baselines of Appendix C.
 LEGACY_OPS = (
-    flip_bit,
-    set_random_byte,
-    set_interesting_byte,
-    arith_byte,
-    clone_block,
-    delete_block,
-    overwrite_block,
+    FLIP_BIT,
+    SET_RANDOM_BYTE,
+    SET_INTERESTING_BYTE,
+    ARITH_BYTE,
+    CLONE_BLOCK,
+    DELETE_BLOCK,
+    OVERWRITE_BLOCK,
 )
 
 
@@ -329,7 +113,9 @@ def havoc(rng, data, max_len, tokens=(), legacy=False):
     """Apply a stacked random mutation to ``data`` (returns a new bytes).
 
     Stacks ``2**(1..6)`` operators as AFL does; dictionary operators join
-    the pool when ``tokens`` are available.
+    the pool when ``tokens`` are available.  Each operator is a branch of
+    the loop below.  One that does not fit the buffer is skipped without a
+    draw, except that a token operator has drawn its token by then.
     """
     buf = bytearray(data)
     ops = LEGACY_OPS if legacy else HAVOC_OPS
@@ -337,20 +123,184 @@ def havoc(rng, data, max_len, tokens=(), legacy=False):
     random = rng.random
     n_ops = len(ops)
     k_ops = n_ops.bit_length()
+    n_tokens = len(tokens)
+    k_tokens = n_tokens.bit_length()
     shift = gb(3)
     while shift >= 6:
         shift = gb(3)
+    length = len(buf)
     for _ in range(2 << shift):
         if tokens and random() < 0.15:
-            if random() < 0.5:
-                overwrite_token(rng, buf, max_len, tokens)
-            else:
-                insert_token(rng, buf, max_len, tokens)
-            continue
-        i = gb(k_ops)
-        while i >= n_ops:
+            op = OVERWRITE_TOKEN if random() < 0.5 else INSERT_TOKEN
+        else:
             i = gb(k_ops)
-        ops[i](rng, buf, max_len)
+            while i >= n_ops:
+                i = gb(k_ops)
+            op = ops[i]
+        if op < CLONE_BLOCK:
+            if op <= SET_INTERESTING_BYTE:
+                if not length:
+                    continue
+                if op == FLIP_BIT:
+                    n = length << 3
+                    k = n.bit_length()
+                    pos = gb(k)
+                    while pos >= n:
+                        pos = gb(k)
+                    buf[pos >> 3] ^= 128 >> (pos & 7)
+                    continue
+                if op == SET_RANDOM_BYTE:
+                    value = gb(9)
+                    while value >= 256:
+                        value = gb(9)
+                else:
+                    i = gb(4)
+                    while i >= 9:
+                        i = gb(4)
+                    value = INTERESTING_8_U8[i]
+                k = length.bit_length()
+                pos = gb(k)
+                while pos >= length:
+                    pos = gb(k)
+                buf[pos] = value
+            elif op == ARITH_BYTE:
+                if not length:
+                    continue
+                k = length.bit_length()
+                pos = gb(k)
+                while pos >= length:
+                    pos = gb(k)
+                delta = gb(6)
+                while delta >= ARITH_MAX:
+                    delta = gb(6)
+                delta += 1
+                if random() < 0.5:
+                    delta = -delta
+                buf[pos] = (buf[pos] + delta) & 0xFF
+            elif op == SET_INTERESTING_DWORD:
+                n = length - 3
+                if n < 1:
+                    continue
+                k = n.bit_length()
+                start = gb(k)
+                while start >= n:
+                    start = gb(k)
+                i = gb(3)
+                while i >= 7:
+                    i = gb(3)
+                (
+                    buf[start],
+                    buf[start + 1],
+                    buf[start + 2],
+                    buf[start + 3],
+                ) = _INTERESTING_32_BYTES[random() >= 0.5][i]
+            else:
+                n = length - 1
+                if n < 1:
+                    continue
+                k = n.bit_length()
+                start = gb(k)
+                while start >= n:
+                    start = gb(k)
+                if op == SET_INTERESTING_WORD:
+                    i = gb(4)
+                    while i >= 10:
+                        i = gb(4)
+                    pair = _INTERESTING_16_BYTES[random() >= 0.5][i]
+                    buf[start], buf[start + 1] = pair
+                    continue
+                # ARITH_WORD: the byte order is drawn before the delta.
+                if random() < 0.5:
+                    high, low = start, start + 1
+                else:
+                    high, low = start + 1, start
+                delta = gb(6)
+                while delta >= ARITH_MAX:
+                    delta = gb(6)
+                delta += 1
+                if random() < 0.5:
+                    delta = -delta
+                value = (buf[high] << 8 | buf[low]) + delta
+                buf[high] = value >> 8 & 0xFF
+                buf[low] = value & 0xFF
+        elif op <= INSERT_RANDOM_BLOCK:
+            if length >= max_len:
+                continue
+            if op == CLONE_BLOCK:
+                if not length:
+                    continue
+                n = min(length, max_len - length)
+            else:
+                n = min(16, max_len - length)
+            k = n.bit_length()
+            size = gb(k)
+            while size >= n:
+                size = gb(k)
+            size += 1
+            if op == CLONE_BLOCK:
+                n = length - size + 1
+                k = n.bit_length()
+                src = gb(k)
+                while src >= n:
+                    src = gb(k)
+            n = length + 1
+            k = n.bit_length()
+            dst = gb(k)
+            while dst >= n:
+                dst = gb(k)
+            length += size
+            if op == CLONE_BLOCK:
+                buf[dst:dst] = buf[src : src + size]
+                continue
+            block = bytearray(size)
+            for j in range(size):
+                value = gb(9)
+                while value >= 256:
+                    value = gb(9)
+                block[j] = value
+            buf[dst:dst] = block
+        elif op <= OVERWRITE_BLOCK:
+            if length < 2:
+                continue
+            n = length - 1
+            k = n.bit_length()
+            size = gb(k)
+            while size >= n:
+                size = gb(k)
+            size += 1
+            n = length - size + 1
+            k = n.bit_length()
+            src = gb(k)
+            while src >= n:
+                src = gb(k)
+            if op == DELETE_BLOCK:
+                del buf[src : src + size]
+                length -= size
+                continue
+            dst = gb(k)
+            while dst >= n:
+                dst = gb(k)
+            buf[dst : dst + size] = buf[src : src + size]
+        else:
+            i = gb(k_tokens)
+            while i >= n_tokens:
+                i = gb(k_tokens)
+            token = tokens[i]
+            if op == INSERT_TOKEN:
+                if length + len(token) > max_len:
+                    continue
+                width = 0
+            else:
+                width = len(token)
+                if width > length:
+                    continue
+            n = length - width + 1
+            k = n.bit_length()
+            dst = gb(k)
+            while dst >= n:
+                dst = gb(k)
+            buf[dst : dst + width] = token
+            length += len(token) - width
     if not buf:
         buf += random_bytes(rng, 1)
     return bytes(buf)

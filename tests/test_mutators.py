@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,45 +14,49 @@ def rng(seed=0):
     return random.Random(seed)
 
 
+# Single-operator behaviour is checked on the oracle operators further down;
+# the stream-identity tests hold ``havoc`` to them draw for draw.
+
+
 def test_flip_bit_changes_exactly_one_bit():
     data = bytearray(b"\x00" * 8)
-    mutators.flip_bit(rng(), data, 64)
+    _oracle_flip_bit(rng(), data, 64)
     assert sum(bin(b).count("1") for b in data) == 1
 
 
 def test_delete_block_shrinks():
     data = bytearray(b"abcdefgh")
-    assert mutators.delete_block(rng(), data, 64)
+    assert _oracle_delete_block(rng(), data, 64)
     assert 0 < len(data) < 8
 
 
 def test_clone_block_grows_within_limit():
     data = bytearray(b"abcd")
-    assert mutators.clone_block(rng(), data, 6)
+    assert _oracle_clone_block(rng(), data, 6)
     assert 4 < len(data) <= 6
 
 
 def test_clone_block_refuses_at_max():
     data = bytearray(b"abcd")
-    assert not mutators.clone_block(rng(), data, 4)
+    assert not _oracle_clone_block(rng(), data, 4)
 
 
 def test_token_overwrite_places_token():
     data = bytearray(b"\x00" * 8)
-    assert mutators.overwrite_token(rng(), data, 64, [b"MAGI"])
+    assert _oracle_overwrite_token(rng(), data, 64, [b"MAGI"])
     assert b"MAGI" in bytes(data)
 
 
 def test_token_insert_respects_max_len():
     data = bytearray(b"\x00" * 8)
-    assert not mutators.insert_token(rng(), data, 8, [b"MAGI"])
+    assert not _oracle_insert_token(rng(), data, 8, [b"MAGI"])
 
 
 def test_empty_input_operators_refuse():
     data = bytearray()
-    assert not mutators.flip_bit(rng(), data, 8)
-    assert not mutators.set_random_byte(rng(), data, 8)
-    assert not mutators.delete_block(rng(), data, 8)
+    assert not _oracle_flip_bit(rng(), data, 8)
+    assert not _oracle_set_random_byte(rng(), data, 8)
+    assert not _oracle_delete_block(rng(), data, 8)
 
 
 def test_havoc_never_returns_empty():
@@ -110,10 +115,11 @@ def test_havoc_with_tokens_property(data, seed):
 # -- stream identity ------------------------------------------------------------
 #
 # A frozen copy of the operators as first written with ``randrange`` and
-# ``choice``.  The kernel in ``repro.fuzzer.mutators`` draws the same
-# Mersenne-Twister words through ``getrandbits`` with CPython's rejection
-# rule; these properties check that both return the same bytes and leave the
-# generator in the same state.
+# ``choice``, one function per operator.  The kernel in
+# ``repro.fuzzer.mutators`` runs them as branches of one loop and draws the
+# same Mersenne-Twister words through ``getrandbits`` with CPython's
+# rejection rule; these properties check that both return the same bytes and
+# leave the generator in the same state.
 
 
 def _oracle_clip_start(rng, data, width):
@@ -274,6 +280,24 @@ _ORACLE_LEGACY_OPS = (
     _oracle_overwrite_block,
 )
 
+# The kernel's operator codes and the oracle operator each one stands for.
+_ORACLE_BY_CODE = {
+    mutators.FLIP_BIT: _oracle_flip_bit,
+    mutators.SET_RANDOM_BYTE: _oracle_set_random_byte,
+    mutators.SET_INTERESTING_BYTE: _oracle_set_interesting_byte,
+    mutators.SET_INTERESTING_WORD: _oracle_set_interesting_word,
+    mutators.SET_INTERESTING_DWORD: _oracle_set_interesting_dword,
+    mutators.ARITH_BYTE: _oracle_arith_byte,
+    mutators.ARITH_WORD: _oracle_arith_word,
+    mutators.CLONE_BLOCK: _oracle_clone_block,
+    mutators.INSERT_RANDOM_BLOCK: _oracle_insert_random_block,
+    mutators.DELETE_BLOCK: _oracle_delete_block,
+    mutators.OVERWRITE_BLOCK: _oracle_overwrite_block,
+    mutators.OVERWRITE_TOKEN: _oracle_overwrite_token,
+    mutators.INSERT_TOKEN: _oracle_insert_token,
+}
+_TOKEN_CODES = (mutators.OVERWRITE_TOKEN, mutators.INSERT_TOKEN)
+
 
 def _oracle_havoc(rng, data, max_len, tokens=(), legacy=False):
     buf = bytearray(data)
@@ -334,12 +358,13 @@ _tokens = st.lists(st.binary(min_size=0, max_size=6), max_size=4).map(tuple)
 
 
 def test_oracle_operator_tables_line_up():
-    assert [op.__name__ for op in mutators.HAVOC_OPS] == [
-        op.__name__[len("_oracle_") :] for op in _ORACLE_HAVOC_OPS
-    ]
-    assert [op.__name__ for op in mutators.LEGACY_OPS] == [
-        op.__name__[len("_oracle_") :] for op in _ORACLE_LEGACY_OPS
-    ]
+    assert len(_ORACLE_BY_CODE) == 13  # no two codes share a value
+    assert tuple(_ORACLE_BY_CODE[code] for code in mutators.HAVOC_OPS) == (
+        _ORACLE_HAVOC_OPS
+    )
+    assert tuple(_ORACLE_BY_CODE[code] for code in mutators.LEGACY_OPS) == (
+        _ORACLE_LEGACY_OPS
+    )
 
 
 @settings(max_examples=300)
@@ -352,23 +377,49 @@ def test_havoc_draws_the_oracle_stream(data, seed, max_len, tokens, legacy):
     assert new.getstate() == old.getstate()
 
 
+def _bind_tokens(op, tokens):
+    return lambda rng, data, max_len: op(rng, data, max_len, tokens)
+
+
 @settings(max_examples=300)
-@given(
-    st.integers(0, len(_ORACLE_HAVOC_OPS) + 1), _data, _seed, st.integers(0, 64), _tokens
-)
-def test_each_operator_draws_the_oracle_stream(index, data, seed, max_len, tokens):
-    new, old = _twins(seed)
-    new_buf, old_buf = bytearray(data), bytearray(data)
-    if index < len(_ORACLE_HAVOC_OPS):
-        got = mutators.HAVOC_OPS[index](new, new_buf, max_len)
-        want = _ORACLE_HAVOC_OPS[index](old, old_buf, max_len)
-    else:
-        insert = index > len(_ORACLE_HAVOC_OPS)
-        op = mutators.insert_token if insert else mutators.overwrite_token
-        got = op(new, new_buf, max_len, tokens)
-        want = _oracle_dict_op(insert)(old, old_buf, max_len, tokens)
-    assert (got, new_buf) == (want, old_buf)
-    assert new.getstate() == old.getstate()
+@given(_data, _seed, st.integers(0, 64), _tokens)
+def test_each_operator_draws_the_oracle_stream(data, seed, max_len, tokens):
+    # Every operator code in turn: both operator tables cut down to it, so
+    # each draw of the stacked loop runs that one branch of the kernel.  A
+    # token operator needs tokens and also meets the 15% token draws.
+    for code, oracle_op in _ORACLE_BY_CODE.items():
+        pool = ()
+        if code in _TOKEN_CODES:
+            pool = tokens or (b"MAGI",)
+            oracle_op = _bind_tokens(oracle_op, pool)
+        new, old = _twins(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mutators, "HAVOC_OPS", (code,))
+            patch.setitem(globals(), "_ORACLE_HAVOC_OPS", (oracle_op,))
+            got = mutators.havoc(new, data, max_len, pool)
+            want = _oracle_havoc(old, data, max_len, pool)
+        assert got == want, code
+        assert new.getstate() == old.getstate(), code
+
+
+_SWEEP_TOKENS = (b"", b"MAGIC_LONGER_THAN_DATA", b"\xff")
+
+
+def test_havoc_sweep_draws_the_oracle_stream():
+    # Deterministic corners the properties may miss: every length up to 8
+    # (the word and dword guards), a buffer at and one below max_len.
+    for seed in range(100):
+        for length in (*range(9), 30):
+            data = bytes((seed + 37 * i) & 0xFF for i in range(length))
+            for max_len in (length, length + 1, 48):
+                for legacy in (False, True):
+                    for tokens in ((), _SWEEP_TOKENS):
+                        new, old = _twins(seed)
+                        case = (seed, length, max_len, legacy, tokens)
+                        got = mutators.havoc(new, data, max_len, tokens, legacy)
+                        want = _oracle_havoc(old, data, max_len, tokens, legacy)
+                        assert got == want, case
+                        assert new.getstate() == old.getstate(), case
 
 
 @settings(max_examples=200)
