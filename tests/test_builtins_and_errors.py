@@ -1,6 +1,8 @@
 """Consistency tests for the builtin registry and diagnostics, and the
 builtins' trap rules on every executor."""
 
+import re
+
 import pytest
 
 from repro.lang import compile_source
@@ -73,13 +75,15 @@ def test_every_builtin_callable_from_minic():
         assert not result.crashed, name
 
 
-# -- trap rules: one row per (builtin, rule), on every executor ----------------
+# -- trap rules: one row per (check, rule), on every executor ------------------
 #
-# Each row is one builtin call with its arguments and what it must do: a
-# return value (``None``: a ref, compared across executors only) or a
-# ``(trap kind, detail)``.  Every row is rendered three ways, so each rule is
-# exercised on run-time operands (every argument loaded from a heap cell, so
-# codegen knows neither its class nor its value), on codegen-constant
+# Each row is one builtin call, operator, array access or call with its
+# operands and what it must do: a return value (``None``: a ref, compared
+# across executors only) or a ``(trap kind, detail)``; a detail naming a
+# ref index is a pattern, since the ref's array id depends on the mode.
+# Every row is rendered three ways, so each rule is exercised on run-time
+# operands (every operand loaded from a heap cell, so codegen knows
+# neither its class nor its value), on codegen-constant
 # operands (integer literals, arrays of proven class) and on string-literal
 # operands (every read-only window a literal).  Each rendering runs under
 # the interpreter, the compiled fast and exact variants, taint tracking and
@@ -177,6 +181,89 @@ for _name, _width, _value in (
         ("%s-past-ref" % _name, _name, [(H, b"ABCDE"), (I, 1)], _value),
     ]
 
+
+# Operators, array accesses and calls: their rendered statement (``{j}`` is
+# operand ``j``); any other row name is a call.  A ``br`` row fuses its
+# compare into the branch.  UN traps carry line 0: the IR has no line for
+# them.
+FORMS = {op: "return {0} %s {1};" % op for op in (
+    "+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^",
+    "<", "<=", ">", ">=", "==", "!=",
+)}
+FORMS.update(
+    {"br" + op: "if ({0} %s {1}) {{ return 1; }} return 0;" % op for op in ("<", "<=", ">", ">=")}
+)
+FORMS.update({"neg": "return -{0};", "bnot": "return ~{0};", "lnot": "return !{0};"})
+FORMS.update({"load": "return {0}[{1}];", "store": "{0}[{1}] = {2}; return 0;"})
+UNARY = ("neg", "bnot", "lnot")
+
+DZ, SR = traps.DIV_BY_ZERO, traps.SHIFT_RANGE
+NOT_NUM, NOT_INDEXABLE = (TC, "array used as integer"), (TC, "indexing a non-array")
+RO = (traps.READONLY_WRITE, "write to constant")
+MIN = 1 << 63  # wraps to INT64_MIN when lowered
+
+
+def _index(kind, idx, size):
+    return kind, "index %d of %d" % (idx, size)
+
+
+def _ref_index(kind, size):
+    return kind, re.compile(r"index ArrayRef\(#\d+, rw\) of %d" % size)
+
+
+ROWS += [
+    ("div-ok", "/", [(I, -7), (I, 2)], -3),
+    ("mod-ok", "%", [(I, -7), (I, 2)], -1),
+    ("div-zero", "/", [(I, 7), (I, 0)], (DZ, "division by zero")),
+    ("mod-zero", "%", [(I, 7), (I, 0)], (DZ, "modulo by zero")),
+    ("div-zero-ref-dividend", "/", [(R, b"AB"), (I, 0)], (DZ, "division by zero")),
+    ("mod-zero-ref-dividend", "%", [(A, b"AB"), (I, 0)], (DZ, "modulo by zero")),
+    ("div-ref-divisor", "/", [(I, 7), (R, b"AB")], NOT_NUM),
+    ("mod-ref-dividend", "%", [(R, b"AB"), (I, 3)], NOT_NUM),
+    ("shl-ok", "<<", [(I, 3), (I, 2)], 12),
+    ("shl-ref-amount", "<<", [(I, 3), (R, b"AB")], NOT_NUM),
+    ("shl-ref-range", "<<", [(R, b"AB"), (I, 70)], (SR, "shift by 70")),
+    ("shl-negative", "<<", [(I, 5), (I, -1)], (SR, "shift by -1")),
+    ("shr-range", ">>", [(I, 5), (I, 64)], (SR, "shift by 64")),
+    ("shr-ref", ">>", [(A, b"AB"), (I, 1)], NOT_NUM),
+    ("add-ref", "+", [(R, b"AB"), (I, 1)], NOT_NUM),
+    ("sub-ref", "-", [(I, 1), (A, b"AB")], NOT_NUM),
+    ("mul-ref", "*", [(S, b"AB"), (I, 2)], NOT_NUM),
+    ("and-ref", "&", [(I, 1), (R, b"AB")], NOT_NUM),
+    ("eq-ref", "==", [(R, b"AB"), (I, 1)], 0),
+    ("ne-ref", "!=", [(I, 1), (A, b"AB")], 1),
+]
+for _op in ("<", "<=", ">", ">="):
+    ROWS += [
+        ("cmp%s-ref" % _op, _op, [(R, b"AB"), (I, 1)], NOT_NUM),
+        ("br%s-ref" % _op, "br" + _op, [(I, 1), (R, b"AB")], NOT_NUM),
+    ]
+ROWS += [
+    ("br<-ok", "br<", [(I, 1), (I, 2)], 1),
+    ("neg-min", "neg", [(I, MIN)], -MIN),
+    ("neg-ref", "neg", [(R, b"AB")], (TC, "array in arithmetic")),
+    ("bnot-ref", "bnot", [(A, b"AB")], (TC, "array in arithmetic")),
+    ("lnot-ref", "lnot", [(R, b"AB")], 0),
+    ("load-ok", "load", [(R, b"ABC"), (I, 1)], 66),
+    ("load-int", "load", [(I, 5), (I, 0)], NOT_INDEXABLE),
+    ("load-int-ref-index", "load", [(I, 5), (A, b"AB")], NOT_INDEXABLE),
+    ("load-negative", "load", [(R, b"ABC"), (I, -1)], _index(OOB_R, -1, 3)),
+    ("load-at-length", "load", [(R, b"ABC"), (I, 3)], _index(OOB_R, 3, 3)),
+    ("load-literal-ref-index", "load", [(R, b"MAGIC"), (A, b"AB")], _ref_index(OOB_R, 5)),
+    ("load-ref-index", "load", [(A, b"ABCD"), (A, b"X")], _ref_index(OOB_R, 4)),
+    ("load-ref-cell", "load", [(H, b"AB"), (I, 0)], None),
+    ("store-ok", "store", [(A, b"ABCD"), (I, 3), (I, 9)], 0),
+    ("store-int", "store", [(I, 5), (I, 0), (I, 1)], NOT_INDEXABLE),
+    ("store-literal", "store", [(S, b"AB"), (I, 0), (I, 1)], RO),
+    ("store-literal-oob", "store", [(S, b"AB"), (I, 5), (I, 1)], RO),
+    ("store-literal-ref-index", "store", [(S, b"AB"), (A, b"X"), (I, 1)], RO),
+    ("store-negative", "store", [(A, b"ABCD"), (I, -1), (I, 1)], _index(OOB_W, -1, 4)),
+    ("store-overrun", "store", [(A, b"ABCDEFGH"), (I, 8), (I, 1)], _index(OOB_W, 8, 8)),
+    ("store-ref-index", "store", [(A, b"ABCD"), (A, b"X"), (I, 1)], _ref_index(OOB_W, 4)),
+    ("store-ref-value", "store", [(A, b"ABCD"), (I, 0), (A, b"X")], 0),
+    ("call-depth", "main", [(I, 1)], (traps.STACK_OVERFLOW, "call depth exceeded")),
+]
+
 MODES = ("runtime", "constant", "literal")
 
 
@@ -191,7 +278,7 @@ def _literal(data):
 
 
 def render(builtin, args, mode):
-    """MiniC source whose ``main`` returns the builtin call in ``mode``."""
+    """MiniC source whose ``main`` ends in the row's statement in ``mode``."""
     lines, operands = [], []
     if mode == "runtime":
         lines.append("    var box = alloc(%d);" % len(args))
@@ -212,7 +299,11 @@ def render(builtin, args, mode):
             lines.append("    var v%d = %s;" % (j, expr))
             expr = "v%d" % j
         operands.append(expr)
-    lines.append("    return %s(%s);" % (builtin, ", ".join(operands)))
+    form = FORMS.get(builtin)
+    if form is None:
+        lines.append("    return %s(%s);" % (builtin, ", ".join(operands)))
+    else:
+        lines.append("    " + form.format(*operands))
     return "fn main(input) {\n%s\n}\n" % "\n".join(lines)
 
 
@@ -225,9 +316,15 @@ def test_builtin_trap_rules(builtin, args, expected, mode):
     result = run_all_executors(compile_source(source))
     if isinstance(expected, tuple):
         assert result.trap is not None, result.retval
-        assert (result.trap.kind, result.trap.detail) == expected
-        # The call's own line: the source's last statement.
-        assert result.trap.line == source.count("\n") - 1
+        kind, detail = expected
+        assert result.trap.kind == kind
+        if isinstance(detail, str):
+            assert result.trap.detail == detail
+        else:
+            assert detail.fullmatch(result.trap.detail), result.trap.detail
+        # The statement's own line: the source's last one.
+        line = 0 if builtin in UNARY else source.count("\n") - 1
+        assert result.trap.line == line
     else:
         assert result.trap is None, result.trap
         if expected is not None:
