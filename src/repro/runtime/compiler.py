@@ -21,12 +21,19 @@ once, then executes the compiled closures instead:
   only where the register escapes (a call argument, a stored or returned
   value, a compare, a builtin that is not inlined, a dispatch label where
   it is live), once per dynamic STR, so identity is the interpreter's;
-- ``len``, ``abs``, ``min``, ``max``, ``alloc``, ``memcmp`` and the
-  ``read*`` family are inlined as their fast path only: the value and its
-  virtual-time charge under one guard, the disjunction of the builtin's
-  class and bounds tests.  A failed guard calls ``rt._bi_at``, which runs
-  the interpreter's own ``_bi_*`` method; builtin trap kinds, details and
-  check order are written there and nowhere else;
+- every VM check is a guarded fast path plus an ``_Exec`` rule: the
+  generated code holds only the guard (an operator's divisor or shift
+  range and its ``TypeError``, LOAD/STORE's class, read-only and bounds
+  tests, the call-depth test, an inlined builtin's class and bounds
+  tests), and a failed guard makes one ``rt._*_at`` call.  That call
+  flushes the local tallies and runs the family's rule on ``_Exec``
+  (``_bin_rule``, ``_un_rule``, ``_access_rule``, ``_depth_rule``, a
+  builtin's ``_bi_*`` method), which raises the trap.  Trap kinds,
+  details and check order are written there and nowhere else.  ``len``,
+  ``abs``, ``min``, ``max``, ``alloc``, ``memcmp`` and the ``read*``
+  family are inlined this way: the value and its virtual-time charge
+  under one guard, the disjunction of the builtin's class and bounds
+  tests;
 - basic blocks are threaded directly: single-predecessor successors are
   inlined after their predecessor's terminator (straight-line chains and
   if/else diamonds compile to straight-line Python), and only join points
@@ -36,8 +43,7 @@ once, then executes the compiled closures instead:
 - bookkeeping the interpreter pays per step is hoisted: the instruction
   counter and probe accounting live in function-local integers, flushed to
   the shared cells only around calls, traps, and returns (every point where
-  another frame or the harness can observe them); a trap exit is one
-  ``rt._trap_at`` call that flushes and raises;
+  another frame or the harness can observe them), a trap exit included;
 - for pure-HIT instrumentation (edge/block: one HIT per probe site, as
   decided by :meth:`~repro.coverage.feedback.Instrumentation.finalize`),
   per-probe accounting disappears entirely — each HIT increments exactly
@@ -115,7 +121,6 @@ from repro.cfg.instructions import (
 )
 from repro.analysis.foldops import fold_binop, fold_unop
 from repro.lang.builtins_spec import BUILTIN_NAMES
-from repro.runtime import traps
 from repro.runtime.interpreter import (
     ACT_ADD,
     ACT_END,
@@ -131,8 +136,8 @@ from repro.runtime.interpreter import (
     _Exec,
     byte_window,
     charge_hits,
+    guard_failed,
 )
-from repro.runtime.memory import MAX_ALLOC
 from repro.runtime.traps import Timeout, Trap
 from repro.runtime.values import ArrayRef, wrap_int
 
@@ -166,13 +171,14 @@ class _Rt(_Exec):
     Subclasses the interpreter's executor so the heap, builtins, trap and
     stack-trace machinery, cmplog harvesting, and the out-of-line probe
     kinds (n-gram, h-path, path pairs) are *the same code* in both
-    backends.  Generated code traps through two helpers: ``_trap_at`` for
-    its own trap exits (LOAD/STORE, operators, call depth) and ``_bi_at``
-    for an inlined builtin whose guard failed, which traps through the
-    builtin's ``_Exec._bi_*`` method.  The instruction counter moves into
-    a one-element list (``_count_cell``) so generated code can flush its
-    local tally through a fast alias; the ``_count`` property keeps the
-    builtins' accounting and the result construction transparently in
+    backends.  Generated code traps through one ``_*_at`` exit per check
+    family, each running that family's ``_Exec`` trap rule: the
+    interpreter's own trap kinds, details and check order.  A pooled run
+    starts in :meth:`_rerun`; ``_Exec.run`` serves any direct caller, since
+    ``_call`` runs the compiled functions.  The instruction counter moves
+    into a one-element list (``_count_cell``) so generated code can flush
+    its local tally through a fast alias; the ``_count`` property keeps
+    the builtins' accounting and the result construction transparently in
     sync.
     """
 
@@ -201,88 +207,53 @@ class _Rt(_Exec):
     def _call(self, func_index, args):
         return self._compiled[func_index](self, *args)
 
-    def _trap_at(self, kind, func_name, line, detail, n, pn=0, pk=0):
-        """A generated trap exit: flush the frame's local tallies, then trap.
+    # Trap exits: a failed generated guard calls one of these, which
+    # flushes the frame's local tallies and runs the ``_Exec`` rule of its
+    # check family.  One call per exit instead of three or four inline
+    # stores keeps the generated text (and so ``compile()`` time) small;
+    # traps are rare, so the extra frame is paid almost never.
 
-        One call per exit instead of three or four inline stores keeps the
-        generated text (and so ``compile()`` time) small; traps are rare,
-        so the extra frame is paid almost never."""
+    def _flush(self, n, pn, pk):
         self._count_cell[0] = n
         acc = self._probe_acc
         acc[0] += pn
         acc[1] += pk
-        self._trap(kind, func_name, line, detail)
+
+    def _bin_at(self, binop, a, b, func_name, line, n, pn=0, pk=0):
+        self._flush(n, pn, pk)
+        self._bin_rule(binop, a, b, func_name, line)
+
+    def _un_at(self, unop, a, func_name, n, pn=0, pk=0):
+        self._flush(n, pn, pk)
+        self._un_rule(unop, a, func_name)
+
+    def _access_at(self, arr, idx, store, func_name, line, n, pn=0, pk=0):
+        self._flush(n, pn, pk)
+        self._access_rule(arr, idx, store, func_name, line)
+
+    def _depth_at(self, func_name, line, n, pn=0, pk=0):
+        self._flush(n, pn, pk)
+        self._depth_rule(func_name, line)
 
     def _bi_at(self, code, args, func_name, line, n, pn=0, pk=0):
-        """An inlined builtin's failed guard: flush as ``_trap_at`` does,
-        then run the builtin's ``_Exec._bi_*`` method, which traps by its
-        own rules.  The guard is that method's class and bounds tests, so
-        a return means the guard is wrong."""
-        self._count_cell[0] = n
-        acc = self._probe_acc
-        acc[0] += pn
-        acc[1] += pk
+        """An inlined builtin's failed guard: the builtin's ``_Exec._bi_*``
+        method is its rule.  The guard is that method's class and bounds
+        tests, so a return means the guard is wrong."""
+        self._flush(n, pn, pk)
         _BUILTIN_DISPATCH[code](self, args, func_name, line)
-        raise AssertionError(
-            "%s at %s:%d passed its checks after its guard failed"
-            % (BUILTIN_NAMES[code], func_name, line)
-        )
-
-    def _reset(self, compiled, instr_budget, call_depth_limit, cmplog):
-        """Restore pristine per-execution state (cheaper than __init__).
-
-        ``_hits`` and ``_cmp_log`` are handed to the previous run's
-        ExecutionResult, so they are replaced, never cleared in place.
-        """
-        self._compiled = compiled
-        self._budget = instr_budget
-        self._depth_limit = call_depth_limit
-        self._cmplog = cmplog
-        heap = self._heap
-        del heap._arrays[heap._readonly_base :]
-        self._count_cell[0] = 0
-        self._probe_acc[0] = 0
-        self._probe_acc[1] = 0
-        self._hits = {}
-        self._cmp_log = []
-        self._stack = []
-        self._ngram_ring = []
-        self._last_path_idx = 0x1505
-        self._hpath_state = 0x811C9DC5
-
-    def run(self, input_bytes):
-        """The interpreter's run() minus the generic-alloc detour."""
-        if len(input_bytes) > MAX_ALLOC:  # pragma: no cover - exact fallback
-            return _Exec.run(self, input_bytes)
-        arrays = self._heap._arrays
-        input_ref = ArrayRef(len(arrays))
-        arrays.append(list(input_bytes))
-        retval, trap, timeout = 0, None, False
-        try:
-            retval = self._compiled[self._program.main_index](self, input_ref)
-        except Trap as caught:
-            trap = caught
-        except Timeout:
-            timeout = True
-        return ExecutionResult(
-            retval,
-            trap,
-            timeout,
-            self._count_cell[0],
-            self._probe_acc[0],
-            self._probe_acc[1],
-            self._hits,
-            self._cmp_log,
-        )
+        raise guard_failed(BUILTIN_NAMES[code], func_name, line)
 
     def _rerun(self, compiled, instr_budget, call_depth_limit, cmplog, input_bytes):
-        """Fused ``_reset`` + ``run`` — the pooled-runtime hot path.
+        """Reset per-execution state in place and run ``input_bytes`` under
+        the ``compiled`` variant — the pooled-runtime hot path.
 
-        One call frame instead of two, clears that would rewrite an
-        already-pristine field are skipped, and per-run state feeding the
-        result is kept in locals.  Per-execution wrapper cost rivals the
-        program body on shallow runs, so every store here shows up in
-        execs/sec.
+        Clears that would rewrite an already-pristine field are skipped,
+        and per-run state feeding the result is kept in locals.
+        Per-execution wrapper cost rivals the program body on shallow runs,
+        so every store here shows up in execs/sec.  ``_hits`` and
+        ``_cmp_log`` are handed to the previous run's ExecutionResult, so
+        they are replaced, never cleared in place.  The input is placed
+        directly, as ``Heap.place`` does.
         """
         self._compiled = compiled
         self._budget = instr_budget
@@ -305,8 +276,6 @@ class _Rt(_Exec):
             self._ngram_ring = []
         self._last_path_idx = 0x1505
         self._hpath_state = 0x811C9DC5
-        if len(input_bytes) > MAX_ALLOC:  # pragma: no cover - exact fallback
-            return _Exec.run(self, input_bytes)
         arrays.append(list(input_bytes))
         retval, trap, timeout = 0, None, False
         try:
@@ -482,10 +451,13 @@ class CompiledProgram:
                 # never have fired, and anything else is replayed — the
                 # program is deterministic — under the exact variant to
                 # reproduce the interpreter's precise timeout point.
-                rt._reset(
-                    self._functions(cmplog), instr_budget, call_depth_limit, cmplog
+                result = rt._rerun(
+                    self._functions(cmplog),
+                    instr_budget,
+                    call_depth_limit,
+                    cmplog,
+                    input_bytes,
                 )
-                result = rt.run(input_bytes)
         finally:
             rt._busy = False
         if self._pure_hit:
@@ -657,7 +629,6 @@ def _load_functions(program, instrumentation, prune, cmplog, key, live, fast=Fal
         "Timeout": Timeout,
         "_Restart": _Restart,
         "byte_window": byte_window,
-        "traps": traps,
     }
     for code in BUILTIN_CODES.values():
         namespace["_bi%d" % code] = _BUILTIN_DISPATCH[code]
@@ -874,27 +845,25 @@ class _FunctionEmitter:
                 lines.append(ind + "_pk = 0")
         return lines
 
-    def _emit_trap(self, out, ind, kind, line, detail_expr):
-        out.append(
-            ind
-            + "rt._trap_at(traps.%s, %s, %d, %s, %s)"
-            % (kind, self.fname, line, detail_expr, self.tallies)
+    def _trap_exit(self, family, *args):
+        """The ``rt._<family>_at`` call a failed guard makes: it flushes the
+        local tallies and runs the family's ``_Exec`` trap rule."""
+        return "rt._%s_at(%s, %s)" % (
+            family, ", ".join(map(str, args)), self.tallies,
         )
 
-    def _static_trap(self, out, ind, kind, line, detail_expr):
+    def _static_trap(self, out, ind, call):
         """This point traps on every execution that reaches it: emit the
-        trap unconditionally and mark the rest of the block dead (its code
-        would be unreachable, and folded operands could make it
-        syntactically meaningless)."""
-        self._emit_trap(out, ind, kind, line, detail_expr)
+        trap exit ``call`` unconditionally and mark the rest of the block
+        dead (its code would be unreachable, and folded operands could make
+        it syntactically meaningless)."""
+        out.append(ind + call)
         self._dead = True
 
     def _emit_push(self, out, ind, line):
         """A call's depth check and stack-frame push."""
         out.append(ind + "if len(_stack) + 1 >= _dl:")
-        self._emit_trap(
-            out, ind + "    ", "STACK_OVERFLOW", line, '"call depth exceeded"'
-        )
+        out.append(ind + "    " + self._trap_exit("depth", self.fname, line))
         out.append(ind + "_stack.append((%s, %d))" % (self.fname, line))
 
     def _emit_entry_actions(self, out, ind):
@@ -1001,6 +970,15 @@ class _FunctionEmitter:
         need = self.lit.keys() & self.pend & {self._r(reg) for reg in regs}
         if need:
             self._materialize(out, ind, need)
+
+    def _operand(self, reg):
+        """``reg``'s value for a trap exit.  A pending string literal is
+        built here as the interpreter's STR builds it, so only the trap
+        path pays for its ref."""
+        name = self._r(reg)
+        if name in self.lit and name in self.pend:
+            return "rt._heap.string_ref(%d)" % self.lit[name][0]
+        return self._use(reg)
 
     def _pool(self, reg):
         """The string-pool index ``reg`` holds, if known at codegen."""
@@ -1226,15 +1204,14 @@ class _FunctionEmitter:
         va = self.env.get(self._r(a))
         vb = self.env.get(self._r(b))
         log_cmp = self.cmplog and binop in (OP_LT, OP_LE, OP_GT, OP_GE, OP_EQ, OP_NE)
+        at = self._trap_exit("bin", binop, ra, rb, self.fname, line)
         # Statically trapping forms first: the interpreter checks the
         # divisor/shift operand before touching the other one, so a constant
         # bad operand traps no matter what the left side holds.
-        if binop in (OP_DIV, OP_MOD) and vb == 0:
-            detail = '"division by zero"' if binop == OP_DIV else '"modulo by zero"'
-            self._static_trap(out, ind, "DIV_BY_ZERO", line, detail)
-            return
-        if binop in (OP_SHL, OP_SHR) and vb is not None and not 0 <= vb <= 63:
-            self._static_trap(out, ind, "SHIFT_RANGE", line, repr("shift by %d" % vb))
+        if binop in (OP_DIV, OP_MOD) and vb == 0 or (
+            binop in (OP_SHL, OP_SHR) and vb is not None and not 0 <= vb <= 63
+        ):
+            self._static_trap(out, ind, at)
             return
         if va is not None and vb is not None:
             if binop in (OP_DIV, OP_MOD):
@@ -1279,10 +1256,7 @@ class _FunctionEmitter:
             # fixes its sign, so the agreement test collapses.
             if vb is None:
                 out.append(inner + "if %s == 0:" % rb)
-                detail = (
-                    '"division by zero"' if binop == OP_DIV else '"modulo by zero"'
-                )
-                self._emit_trap(out, inner + "    ", "DIV_BY_ZERO", line, detail)
+                out.append(inner + "    " + at)
                 quot = "%s // %s if (%s >= 0) == (%s >= 0) else -(%s // -%s)" % (
                     ra, rb, ra, rb, ra, rb,
                 )
@@ -1298,18 +1272,14 @@ class _FunctionEmitter:
         else:  # OP_SHL / OP_SHR
             if vb is None:
                 out.append(inner + "if %s < 0 or %s > 63:" % (rb, rb))
-                self._emit_trap(
-                    out, inner + "    ", "SHIFT_RANGE", line, '"shift by %%d" %% %s' % rb
-                )
+                out.append(inner + "    " + at)
             if binop == OP_SHL:
                 self._emit_wrapped(out, inner, rd, "%s << %s" % (ra, rb))
             else:
                 out.append(inner + "%s = %s >> %s" % (rd, ra, rb))
         if not safe:
             out.append(ind + "except TypeError:")
-            self._emit_trap(
-                out, ind + "    ", "TYPE_CONFUSION", line, '"array used as integer"'
-            )
+            out.append(ind + "    " + at)
         if log_cmp:
             self._emit_cmplog(out, ind, ra, rb, rd)
 
@@ -1343,32 +1313,36 @@ class _FunctionEmitter:
             self._emit_wrapped(out, inner, rd, "-%s" % ra)
         if not safe:
             out.append(ind + "except TypeError:")
-            self._emit_trap(
-                out, ind + "    ", "TYPE_CONFUSION", 0, '"array in arithmetic"'
-            )
+            out.append(ind + "    " + self._trap_exit("un", unop, ra, self.fname))
 
-    def _check_array(self, out, ind, reg, line):
+    def _access_exit(self, arr, idx, store, line):
+        """LOAD/STORE's trap exit, shared by every check of the access."""
+        return self._trap_exit(
+            "access", self._operand(arr), self._use(idx), store, self.fname, line
+        )
+
+    def _check_array(self, out, ind, reg, at):
         """LOAD/STORE's class check of the indexed array."""
         name = self._r(reg)
         k = self.kind.get(name)
         if k in ("arr", "warr", "sarr"):
             return True
-        detail = '"indexing a non-array"'
         if k == "int":
-            self._static_trap(out, ind, "TYPE_CONFUSION", line, detail)
+            self._static_trap(out, ind, at)
             return False
         out.append(ind + "if %s.__class__ is not ArrayRef:" % name)
-        self._emit_trap(out, ind + "    ", "TYPE_CONFUSION", line, detail)
+        out.append(ind + "    " + at)
         self.kind[name] = "arr"
         return True
 
     def _emit_load(self, ins, out, ind):
         dst, arr, idx, line = ins[1], ins[2], ins[3], ins[4]
-        if not self._check_array(out, ind, arr, line):
+        at = self._access_exit(arr, idx, False, line)
+        if not self._check_array(out, ind, arr, at):
             return
         buf = self._buffer(out, ind, arr)
         data = self._literal(arr)
-        if not self._emit_index_check(out, ind, idx, line, "OOB_READ", buf, data):
+        if not self._emit_index_check(out, ind, idx, at, buf, data):
             return
         idx_expr = self._use(idx)
         if data is not None and _is_lit(idx_expr):
@@ -1379,24 +1353,23 @@ class _FunctionEmitter:
 
     def _emit_store(self, ins, out, ind):
         arr, idx, src, line = ins[1], ins[2], ins[3], ins[4]
-        if not self._check_array(out, ind, arr, line):
+        at = self._access_exit(arr, idx, True, line)
+        if not self._check_array(out, ind, arr, at):
             return
         name = self._r(arr)
         k = self.kind.get(name)
         if k == "sarr":
-            self._static_trap(out, ind, "READONLY_WRITE", line, '"write to constant"')
+            self._static_trap(out, ind, at)
             return
         if k != "warr":
             out.append(ind + "if %s.readonly or %s.array_id < _rb:" % (name, name))
-            self._emit_trap(
-                out, ind + "    ", "READONLY_WRITE", line, '"write to constant"'
-            )
+            out.append(ind + "    " + at)
         buf = self._buffer(out, ind, arr)
-        if not self._emit_index_check(out, ind, idx, line, "OOB_WRITE", buf):
+        if not self._emit_index_check(out, ind, idx, at, buf):
             return
         out.append(ind + "%s[%s] = %s" % (buf, self._use(idx), self._use(src)))
 
-    def _emit_index_check(self, out, ind, idx, line, trap_kind, buf, data=None):
+    def _emit_index_check(self, out, ind, idx, at, buf, data=None):
         """Bounds (and, unless provably int, class) check for an index.
 
         ``data`` is the array's content when it is a string literal: its
@@ -1405,13 +1378,12 @@ class _FunctionEmitter:
         size = "len(%s)" % buf if data is None else "%d" % len(data)
         iv = self.env.get(self._r(idx))
         if iv is not None:
-            detail = '"index %d of %%d" %% %s' % (iv, size)
             if iv < 0 or (data is not None and iv >= len(data)):
-                self._static_trap(out, ind, trap_kind, line, detail)
+                self._static_trap(out, ind, at)
                 return False
             if data is None:
                 out.append(ind + "if %d >= %s:" % (iv, size))
-                self._emit_trap(out, ind + "    ", trap_kind, line, detail)
+                out.append(ind + "    " + at)
             return True
         name = self._r(idx)
         if self.kind.get(name) == "int":
@@ -1422,13 +1394,7 @@ class _FunctionEmitter:
                 + "if %s.__class__ is ArrayRef or %s < 0 or %s >= %s:"
                 % (name, name, name, size)
             )
-        self._emit_trap(
-            out,
-            ind + "    ",
-            trap_kind,
-            line,
-            '"index %%r of %%d" %% (%s, %s)' % (name, size),
-        )
+        out.append(ind + "    " + at)
         self.kind[name] = "int"
         return True
 
@@ -1487,19 +1453,9 @@ class _FunctionEmitter:
         return terms
 
     def _fallback(self, code, args, line):
-        """The call running the builtin's ``_Exec._bi_*`` method.  A pending
-        string literal is built here as the interpreter's STR builds it, so
-        only this path pays for its ref."""
-        exprs = []
-        for reg in args:
-            name = self._r(reg)
-            if name in self.lit and name in self.pend:
-                exprs.append("rt._heap.string_ref(%d)" % self.lit[name][0])
-            else:
-                exprs.append(self._use(reg))
-        return "rt._bi_at(%d, [%s], %s, %d, %s)" % (
-            code, ", ".join(exprs), self.fname, line, self.tallies,
-        )
+        """The trap exit running the builtin's ``_Exec._bi_*`` method."""
+        exprs = ", ".join(self._operand(reg) for reg in args)
+        return self._trap_exit("bi", code, "[%s]" % exprs, self.fname, line)
 
     def _emit_guard(self, out, ind, code, args, line, terms):
         """``if <terms>:`` the fallback; with ``terms`` None, the fallback
@@ -1880,8 +1836,8 @@ class _FunctionEmitter:
             out.append(ind + "try:")
             out.append(ind + "    _w = %s %s %s" % (ra, op_ch, rb))
             out.append(ind + "except TypeError:")
-            self._emit_trap(
-                out, ind + "    ", "TYPE_CONFUSION", line, '"array used as integer"'
+            out.append(
+                ind + "    " + self._trap_exit("bin", binop, ra, rb, self.fname, line)
             )
         if self.cmplog:
             out.append(ind + "if len(_cl) < %d:" % CMPLOG_CAP)

@@ -48,6 +48,7 @@ from repro.cfg.instructions import (
     OP_NE,
     OP_OR,
     OP_SHL,
+    OP_SHR,
     OP_SUB,
     OP_XOR,
     OP_LNOT,
@@ -175,12 +176,11 @@ class _Exec:
         self._hpath_state = 0x811C9DC5
 
     def run(self, input_bytes):
-        input_ref = self._heap.alloc(len(input_bytes))
-        storage = self._heap.storage(input_ref)
-        storage[: len(input_bytes)] = input_bytes
         retval, trap, timeout = 0, None, False
         try:
-            retval = self._call(self._program.main_index, [input_ref])
+            retval = self._call(
+                self._program.main_index, [self._heap.place(input_bytes)]
+            )
         except Trap as caught:
             trap = caught
         except Timeout:
@@ -211,6 +211,56 @@ class _Exec:
 
     def _trap(self, kind, func_name, line, detail):
         raise Trap(kind, func_name, line, detail, self._trace(func_name, line))
+
+    # -- trap rules ----------------------------------------------------------
+    #
+    # One rule per VM check family, written here and nowhere else.  Every
+    # executor keeps its own guard inline and calls the rule only when that
+    # guard fails: the rule raises the trap, with its kind and detail, in
+    # this interpreter's check order.  A rule that finds no trap raises
+    # AssertionError: the guard that called it is wrong.
+
+    def _bin_rule(self, binop, a, b, fname, line):
+        """BIN: the divisor or shift amount is checked before the other
+        operand is touched; then a ref in arithmetic or an ordering."""
+        if not isinstance(b, ArrayRef):
+            if binop == OP_DIV or binop == OP_MOD:
+                if b == 0:
+                    what = "division" if binop == OP_DIV else "modulo"
+                    self._trap(traps.DIV_BY_ZERO, fname, line, what + " by zero")
+            elif binop == OP_SHL or binop == OP_SHR:
+                if b < 0 or b > 63:
+                    self._trap(traps.SHIFT_RANGE, fname, line, "shift by %d" % b)
+        if binop != OP_EQ and binop != OP_NE:
+            if isinstance(a, ArrayRef) or isinstance(b, ArrayRef):
+                self._trap(traps.TYPE_CONFUSION, fname, line, "array used as integer")
+        raise guard_failed("BIN", fname, line)
+
+    def _un_rule(self, unop, a, fname):
+        """UN: a ref under ``-`` or ``~``.  The IR carries no line for UN,
+        so its trap's line is 0."""
+        if unop != OP_LNOT and isinstance(a, ArrayRef):
+            self._trap(traps.TYPE_CONFUSION, fname, 0, "array in arithmetic")
+        raise guard_failed("UN", fname, 0)
+
+    def _access_rule(self, arr, idx, store, fname, line):
+        """LOAD/STORE: a non-array, then (STORE) a read-only array, then an
+        index out of bounds or not an integer."""
+        if not isinstance(arr, ArrayRef):
+            self._trap(traps.TYPE_CONFUSION, fname, line, "indexing a non-array")
+        if store and self._heap.is_readonly(arr):
+            self._trap(traps.READONLY_WRITE, fname, line, "write to constant")
+        size = self._heap.length(arr)
+        if isinstance(idx, ArrayRef) or idx < 0 or idx >= size:
+            kind = traps.OOB_WRITE if store else traps.OOB_READ
+            self._trap(kind, fname, line, "index %r of %d" % (idx, size))
+        raise guard_failed("STORE" if store else "LOAD", fname, line)
+
+    def _depth_rule(self, fname, line):
+        """CALL: the call-depth limit."""
+        if len(self._stack) + 1 >= self._depth_limit:
+            self._trap(traps.STACK_OVERFLOW, fname, line, "call depth exceeded")
+        raise guard_failed("CALL", fname, line)
 
     # -- the interpreter loop ------------------------------------------------
 
@@ -280,30 +330,17 @@ class _Exec:
                             value = a | b
                         elif binop == OP_XOR:
                             value = a ^ b
-                        elif binop == OP_DIV:
+                        elif binop == OP_DIV or binop == OP_MOD:
                             if b == 0:
-                                self._trap(traps.DIV_BY_ZERO, fname, ins[5], "division by zero")
-                            value = wrap_int(_c_div(a, b))
-                        elif binop == OP_MOD:
-                            if b == 0:
-                                self._trap(traps.DIV_BY_ZERO, fname, ins[5], "modulo by zero")
-                            value = wrap_int(_c_mod(a, b))
-                        elif binop == OP_SHL:
+                                self._bin_rule(binop, a, b, fname, ins[5])
+                            div = binop == OP_DIV
+                            value = wrap_int(_c_div(a, b) if div else _c_mod(a, b))
+                        else:  # OP_SHL / OP_SHR
                             if b < 0 or b > 63:
-                                self._trap(
-                                    traps.SHIFT_RANGE, fname, ins[5], "shift by %d" % b
-                                )
-                            value = wrap_int(a << b)
-                        else:  # OP_SHR
-                            if b < 0 or b > 63:
-                                self._trap(
-                                    traps.SHIFT_RANGE, fname, ins[5], "shift by %d" % b
-                                )
-                            value = a >> b
+                                self._bin_rule(binop, a, b, fname, ins[5])
+                            value = wrap_int(a << b) if binop == OP_SHL else a >> b
                     except TypeError:
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, ins[5], "array used as integer"
-                        )
+                        self._bin_rule(binop, a, b, fname, ins[5])
                     if self._cmplog and binop in COMPARISON_OPS:
                         if len(self._cmp_log) < CMPLOG_CAP:
                             self._cmp_log.append((a, b))
@@ -316,37 +353,19 @@ class _Exec:
                     arr = regs[ins[2]]
                     idx = regs[ins[3]]
                     if not isinstance(arr, ArrayRef):
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, ins[4], "indexing a non-array"
-                        )
+                        self._access_rule(arr, idx, False, fname, ins[4])
                     storage = heap.storage(arr)
                     if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._trap(
-                            traps.OOB_READ,
-                            fname,
-                            ins[4],
-                            "index %r of %d" % (idx, len(storage)),
-                        )
+                        self._access_rule(arr, idx, False, fname, ins[4])
                     regs[ins[1]] = storage[idx]
                 elif op == STORE:
                     arr = regs[ins[1]]
                     idx = regs[ins[2]]
-                    if not isinstance(arr, ArrayRef):
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, ins[4], "indexing a non-array"
-                        )
-                    if heap.is_readonly(arr):
-                        self._trap(
-                            traps.READONLY_WRITE, fname, ins[4], "write to constant"
-                        )
+                    if not isinstance(arr, ArrayRef) or heap.is_readonly(arr):
+                        self._access_rule(arr, idx, True, fname, ins[4])
                     storage = heap.storage(arr)
                     if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._trap(
-                            traps.OOB_WRITE,
-                            fname,
-                            ins[4],
-                            "index %r of %d" % (idx, len(storage)),
-                        )
+                        self._access_rule(arr, idx, True, fname, ins[4])
                     storage[idx] = regs[ins[3]]
                 elif op == UN:
                     unop = ins[1]
@@ -359,12 +378,10 @@ class _Exec:
                         else:
                             regs[ins[2]] = wrap_int(~a)
                     except TypeError:
-                        self._trap(traps.TYPE_CONFUSION, fname, 0, "array in arithmetic")
+                        self._un_rule(unop, a, fname)
                 elif op == CALL:
                     if len(self._stack) + 1 >= self._depth_limit:
-                        self._trap(
-                            traps.STACK_OVERFLOW, fname, ins[4], "call depth exceeded"
-                        )
+                        self._depth_rule(fname, ins[4])
                     self._stack.append((fname, ins[4]))
                     regs[ins[1]] = self._call(ins[2], [regs[r] for r in ins[3]])
                     self._stack.pop()
@@ -609,6 +626,14 @@ class _Exec:
     def _bi_trap(self, args, fname, line):
         code = self._int_arg(args[0], fname, line)
         self._trap(traps.ASSERT_FAIL, fname, line, "trap(%d)" % code)
+
+
+def guard_failed(what, fname, line):
+    """The AssertionError of a trap rule that found no trap: the guard that
+    called it is wrong."""
+    return AssertionError(
+        "%s at %s:%d passed its checks after its guard failed" % (what, fname, line)
+    )
 
 
 def byte_window(cells):

@@ -54,6 +54,13 @@ class Heap:
         self._arrays.append([0] * size)
         return ArrayRef(array_id)
 
+    def place(self, data):
+        """Place the harness's input ``data`` as a new array; returns its
+        ArrayRef.  The input is not a program allocation, so no size
+        limit applies."""
+        self._arrays.append(list(data))
+        return ArrayRef(len(self._arrays) - 1)
+
     def string_ref(self, index):
         """Handle for string-pool constant ``index`` (read-only)."""
         return ArrayRef(index, readonly=True)

@@ -8,7 +8,11 @@ expression.  :class:`ShadowExec` is that replay, written once.  Its
 concrete side mirrors ``_Exec`` exactly — instruction and probe
 accounting, traps, cmplog — so a shadow run's
 :class:`~repro.runtime.interpreter.ExecutionResult` is bit-identical to a
-plain interpretation of the same input.  Pure-HIT probes are the same
+plain interpretation of the same input.  The loop keeps ``_Exec``'s
+inline guards; a failed guard calls ``_Exec``'s trap rule for its check
+family (``_bin_rule``, ``_un_rule``, ``_access_rule``, ``_depth_rule``,
+or a builtin's ``_bi_*`` method), so no trap kind or detail is written
+here.  Pure-HIT probes are the same
 one map update as in ``_Exec``; other probe actions run through the
 out-of-line ``_run_actions`` helper, accounting-identical to the inlined
 copy that ``_Exec`` keeps for speed.
@@ -75,7 +79,6 @@ from repro.cfg.instructions import (
     UN,
 )
 from repro.lang.builtins_spec import BUILTIN_CODES
-from repro.runtime import traps
 from repro.runtime.interpreter import (
     _BUILTIN_DISPATCH,
     _READS,
@@ -135,8 +138,7 @@ class ShadowExec(_Exec):
 
     def run(self, input_bytes):
         """Run ``main(input_bytes)``; returns ``(ExecutionResult, artifact)``."""
-        input_ref = self._heap.alloc(len(input_bytes))
-        self._heap.storage(input_ref)[: len(input_bytes)] = input_bytes
+        input_ref = self._heap.place(input_bytes)
         source = self._input_shadow
         self._cells[input_ref.array_id] = [source(i) for i in range(len(input_bytes))]
         retval, trap, timeout = 0, None, False
@@ -289,25 +291,18 @@ class ShadowExec(_Exec):
                         elif binop == OP_DIV or binop == OP_MOD:
                             if sb is not None:
                                 steer(sb)
-                            div = binop == OP_DIV
                             if b == 0:
-                                what = "division" if div else "modulo"
-                                self._trap(
-                                    traps.DIV_BY_ZERO, fname, ins[5], what + " by zero"
-                                )
+                                self._bin_rule(binop, a, b, fname, ins[5])
+                            div = binop == OP_DIV
                             value = wrap_int(_c_div(a, b) if div else _c_mod(a, b))
                         else:  # OP_SHL / OP_SHR
                             if sb is not None:
                                 steer(sb)
                             if b < 0 or b > 63:
-                                self._trap(
-                                    traps.SHIFT_RANGE, fname, ins[5], "shift by %d" % b
-                                )
+                                self._bin_rule(binop, a, b, fname, ins[5])
                             value = wrap_int(a << b) if binop == OP_SHL else a >> b
                     except TypeError:
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, ins[5], "array used as integer"
-                        )
+                        self._bin_rule(binop, a, b, fname, ins[5])
                     if observe_cmp and binop in COMPARISON_OPS:
                         if cmplog and len(cmp_log) < CMPLOG_CAP:
                             cmp_log.append((a, b))
@@ -328,21 +323,14 @@ class ShadowExec(_Exec):
                     arr = regs[ins[2]]
                     idx = regs[ins[3]]
                     if not isinstance(arr, ArrayRef):
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, ins[4], "indexing a non-array"
-                        )
+                        self._access_rule(arr, idx, False, fname, ins[4])
                     sarr = sregs[ins[2]]
                     sidx = sregs[ins[3]]
                     if sidx is not None or sarr is not None or sizes:
                         self._steer_access(arr, sarr, sidx)
                     storage = heap.storage(arr)
                     if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._trap(
-                            traps.OOB_READ,
-                            fname,
-                            ins[4],
-                            "index %r of %d" % (idx, len(storage)),
-                        )
+                        self._access_rule(arr, idx, False, fname, ins[4])
                     regs[ins[1]] = storage[idx]
                     cells = cellmap.get(arr.array_id)
                     cell = cells[idx] if cells is not None else None
@@ -353,26 +341,15 @@ class ShadowExec(_Exec):
                 elif op == STORE:
                     arr = regs[ins[1]]
                     idx = regs[ins[2]]
-                    if not isinstance(arr, ArrayRef):
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, ins[4], "indexing a non-array"
-                        )
-                    if heap.is_readonly(arr):
-                        self._trap(
-                            traps.READONLY_WRITE, fname, ins[4], "write to constant"
-                        )
+                    if not isinstance(arr, ArrayRef) or heap.is_readonly(arr):
+                        self._access_rule(arr, idx, True, fname, ins[4])
                     sarr = sregs[ins[1]]
                     sidx = sregs[ins[2]]
                     if sidx is not None or sarr is not None or sizes:
                         self._steer_access(arr, sarr, sidx)
                     storage = heap.storage(arr)
                     if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._trap(
-                            traps.OOB_WRITE,
-                            fname,
-                            ins[4],
-                            "index %r of %d" % (idx, len(storage)),
-                        )
+                        self._access_rule(arr, idx, True, fname, ins[4])
                     storage[idx] = regs[ins[3]]
                     shadow = sregs[ins[3]]
                     if sidx is not None or sarr is not None:
@@ -390,16 +367,12 @@ class ShadowExec(_Exec):
                         else:
                             regs[ins[2]] = wrap_int(~a)
                     except TypeError:
-                        self._trap(
-                            traps.TYPE_CONFUSION, fname, 0, "array in arithmetic"
-                        )
+                        self._un_rule(unop, a, fname)
                     sa = sregs[ins[3]]
                     sregs[ins[2]] = None if sa is None else self._join_un(unop, sa)
                 elif op == CALL:
                     if len(self._stack) + 1 >= self._depth_limit:
-                        self._trap(
-                            traps.STACK_OVERFLOW, fname, ins[4], "call depth exceeded"
-                        )
+                        self._depth_rule(fname, ins[4])
                     self._stack.append((fname, ins[4]))
                     regs[ins[1]] = self._call(
                         ins[2], [regs[r] for r in ins[3]], [sregs[r] for r in ins[3]]

@@ -10,10 +10,11 @@ own nesting depth, so an inner loop never resets an outer loop's counter.
 ``programs(builtins=True)`` also draws the rest of the VM's surface:
 ``alloc`` (sizes that fail included), array loads and stores (refs stored
 too), ``memcmp``/``copy``/``fill``/``read*`` over in-range and
-out-of-range windows, ``len``/``min``/``max``/``abs``, ``trap`` and
-``/ % << >>``.  Such a program traps often, and a register may hold an
-array ref where an integer is expected: every executor must turn each of
-those into a VM trap, never a Python exception.
+out-of-range windows, ``len``/``min``/``max``/``abs``, ``trap``,
+``/ % << >>`` and unary ``- ~ !``.  Such a program traps often, and a
+register may hold an array ref where an integer is expected: every
+executor must turn each of those into a VM trap, never a Python
+exception.
 """
 
 from hypothesis import strategies as st
@@ -41,7 +42,9 @@ PRELUDE = (
 def expressions(draw, depth=0, builtins=False):
     last = 5 if depth < 2 else 2
     if builtins and depth < 3:
-        last += 2  # builtin calls; their operands are one level deeper
+        # Builtin calls and a unary operator; their operands are one level
+        # deeper.
+        last += 3
     choice = draw(st.integers(0, last))
     if choice == 0:
         return str(draw(st.integers(0, 100)))
@@ -49,6 +52,9 @@ def expressions(draw, depth=0, builtins=False):
         return draw(st.sampled_from(VARS))
     if choice == 2:
         return "in0"  # first input byte, loaded once up front
+    if builtins and depth < 3 and choice == last:
+        op = draw(st.sampled_from(["-", "~", "!"]))
+        return "%s(%s)" % (op, draw(expressions(depth=depth + 1, builtins=True)))
     if choice > 5 or depth >= 2:
         return draw(builtin_calls(depth))
     left = draw(expressions(depth=depth + 1, builtins=builtins))

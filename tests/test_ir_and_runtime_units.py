@@ -161,6 +161,31 @@ def test_heap_alloc_and_bounds():
     assert heap.alloc(MAX_ALLOC + 1) is None
 
 
+def test_an_input_over_max_alloc_is_placed_not_allocated():
+    """The harness places the input directly: ``MAX_ALLOC`` limits the
+    program's ``alloc``, not the input.  Taint tracking is left out: its
+    per-byte labels are bitsets, so labelling n input bytes builds O(n**2)
+    bits.  Concolic extraction runs the same ``ShadowExec.run``."""
+    from repro.analysis.symbolic import extract_path_condition
+    from repro.coverage.feedback import feedback_by_name
+    from repro.runtime.compiler import compile_program
+    from repro.runtime.interpreter import execute
+    from tests.executors import outcome, run_exact
+
+    program = compile_source("fn main(input) { return len(input); }")
+    instrumentation = feedback_by_name("edge").instrument(program)
+    compiled = compile_program(program, instrumentation)
+    data = bytes(MAX_ALLOC + 1)
+    want = execute(program, data, instrumentation)
+    assert want.retval == MAX_ALLOC + 1
+    for result in (
+        compiled.execute(data),
+        run_exact(compiled, data, False),
+        extract_path_condition(program, data, instrumentation=instrumentation)[0],
+    ):
+        assert outcome(result) == outcome(want)
+
+
 def test_heap_string_pool_is_readonly():
     heap = Heap([b"AB"])
     ref = heap.string_ref(0)
