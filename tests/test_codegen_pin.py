@@ -27,25 +27,25 @@ from repro.runtime.compiler import compile_program, generate_sources
 from repro.subjects import all_subject_names, get_subject
 
 PINNED = {
-    "cflow": "26faa1c9309b6e3014c93617c8bcec207b8648264ee370e1e1fc948287e27fe4",
-    "exiv2": "9ec1290124ddbdea6177e86ea1547d4cf86a54f0a1122e0b2b088fd4ac1922f6",
-    "ffmpeg": "d735cc6940a838bc87d24b37159e7b40c5d71643ab37d80ca12f5cf56c3fbccb",
-    "flvmeta": "29bc0cbd2b4e78a3b50cc40f414945d4af9fdd6cf82dadce223d8ce53e2839b6",
-    "gdk": "b451cc48fc81d2ccbb3f672a5b1021d20871ebd8c142e2757032d0f825be4e28",
-    "imginfo": "6441ff54ca783ce4814385356020321999c855275cc80f14e6eab9cb03e49ead",
-    "infotocap": "52760b87ae3196a8d2bed3fa41cd27a88e1082466e1c066308a270febda59384",
-    "jhead": "0e6fc12cea8fa5aead20e57fc6b2ac8f2d58a1ca795375a6160e6a1fe39c69d4",
-    "jq": "383092a9ae8df194e999d816ad7c948d23ff9345e9468ab1cd0d45a1bc7c07bc",
-    "lame": "6116119a258d5fb2f6ca703b64c2e4186c4f924ba5568af9d5e124aa39f26409",
-    "motivating": "c102035499f272eaec279e092ae61b5880ae4bdc6a4e6367cdd6ec507d1d30b5",
-    "mp3gain": "f72f0db29673da1e21e95e858992ec2a9a74b14b6219ccc68049342d25807461",
-    "mp42aac": "6da1d89bc8eb1a33aa5ae2040fe5efe90a706e0d5187eb510337230d7bfd8301",
-    "mujs": "0d4cabc227f9c4148baf982b868a3ce311bda2fbf358e2319d98ba0cd8a0a494",
-    "nm_new": "bb98898d67b4814f9aab6388a2cce8ce48455635e15409d0137c6271aedaf68a",
-    "objdump": "8ed495ef3e8916b0e4895c2d39bfe2b09e1bc3d17a4058d1a191ca51d1651c18",
-    "pdftotext": "94e0efd22caac6694a01cb8196b24f26cc8d775a00700e85169d68f715fa9fe3",
-    "sqlite3": "b96a73b7095b52216896b72801b58ef7dd7a259be7249ac5b510216a27de3c8a",
-    "tiffsplit": "ac6bec673e2e0a04436d3971371978f028dc81a4dbca917c47c8007bbb93070a",
+    "cflow": "3a5130b92c529fa43b60ad9f4c7826439b4f8c39b6c151f177139449ae7a5477",
+    "exiv2": "22ec382cbaec344e2d2c1cf06d7c1ab9497c88a3cb1ab745c75e033863d2dadf",
+    "ffmpeg": "ee4c2b95d2eb457f3b5cba0a68ac3e0b682e99f8271b242604356026f0a079fb",
+    "flvmeta": "578f331db4b5fc5150a3299e06b5d62ef9580e8f29ca38a886695849417115b3",
+    "gdk": "9b620f9c006dd3054bab48d3c65d80cc55551e7d9d8319e99bee8ef6c2d13237",
+    "imginfo": "ccb9656a0d76c92af20a273a8a59e1e42d02be772192f101f5133ebb65c5d273",
+    "infotocap": "bdf8ed93fe74a2cad431df036dc209227e177e2a638ea7be063b8b465b1845fe",
+    "jhead": "04b22641eebe8dd046716d3feae19992fa6cac56ea5aa9dbc8a13378fd0a4236",
+    "jq": "a6abfe5ec6862d395a879579f1882fdf71d2dddf9693c1df68deabbb975438eb",
+    "lame": "569f1064785957e5bb1bec3ebedc1ad3be403be5495b1176cdaa8e744f6c7e2a",
+    "motivating": "76d1fe83e9f9494fdcc92bfa9964281f6d79bb775b6e241cda4a0636fa8da86e",
+    "mp3gain": "ea948577a870bf9d6c6238a20598e32d286824a33e5ae990070e2472f196f5da",
+    "mp42aac": "5a732b6eaaf0b4114d78fa4ef4622cfa6364f4cd715cc8efe008f34fe5606925",
+    "mujs": "63a31c8165cac084f85a4ec4c0dcb58df8ba3a01e5aa33ce1ef9ad89a0c9c187",
+    "nm_new": "4076c0b5feb82d19ae14c0b807ab43bcfd5d6216b3affb4e43d1a60b72380748",
+    "objdump": "dc39f5a062c163c81d5239d3cd375dbb337e383ffdffbe505ecccc1cdc2f833e",
+    "pdftotext": "93b8166b52868e30d12ec360a4e76b88cac6259f59435a4d99645801b0b58b36",
+    "sqlite3": "eba7f996d8bd746c435cee060e45ea9dab3612aeac02d9b03ffc1f46cb05ed66",
+    "tiffsplit": "608094b8d0b797fe8210c3a0ae8ccd050e8babbc2fe666908f373984e7821c89",
 }
 
 # Every (cmplog, fast) variant a CompiledProgram can build.
