@@ -428,6 +428,30 @@ def test_out_of_bounds_literal_windows_trap_identically():
     assert all(r.trap.kind == traps.OOB_READ for r in by_case.values())
 
 
+ARITH_INDEX = """
+fn main(input) {
+    var b = alloc(4);
+    var i = len(input) - 2;
+    if (input[0] == 1) { b[i] = 7; return 0; }
+    return b[i];
+}
+"""
+
+
+def test_arithmetic_indices_keep_their_bounds_guard():
+    """An index proven int by arithmetic drops its class test, not its
+    bounds test: -1 and the length itself trap on every backend."""
+    inputs = [bytes([k]) * n for k in (0, 1) for n in range(1, 7)]
+    results = run_everywhere(ARITH_INDEX, inputs)
+    traps_seen = [(r.trap.kind, r.trap.detail) if r.trap else None for r in results]
+    assert traps_seen == [
+        (traps.OOB_READ, "index -1 of 4"), None, None, None, None,
+        (traps.OOB_READ, "index 4 of 4"),
+        (traps.OOB_WRITE, "index -1 of 4"), None, None, None, None,
+        (traps.OOB_WRITE, "index 4 of 4"),
+    ]
+
+
 READS = """
 fn main(input) {
     var s = "hello";
