@@ -226,8 +226,8 @@ class _Exec:
         if not isinstance(b, ArrayRef):
             if binop == OP_DIV or binop == OP_MOD:
                 if b == 0:
-                    what = "division" if binop == OP_DIV else "modulo"
-                    self._trap(traps.DIV_BY_ZERO, fname, line, what + " by zero")
+                    detail = "division by zero" if binop == OP_DIV else "modulo by zero"
+                    self._trap(traps.DIV_BY_ZERO, fname, line, detail)
             elif binop == OP_SHL or binop == OP_SHR:
                 if b < 0 or b > 63:
                     self._trap(traps.SHIFT_RANGE, fname, line, "shift by %d" % b)
