@@ -14,7 +14,6 @@ from repro.runtime.compiler import _Rt, compile_program
 from repro.runtime.interpreter import (
     DEFAULT_CALL_DEPTH,
     DEFAULT_INSTR_BUDGET,
-    charge_hits,
     execute as interp_execute,
 )
 from repro.runtime.values import ArrayRef
@@ -50,7 +49,7 @@ def outcome(result):
 
 def run_exact(compiled, data, cmplog):
     """The exact compiled variant, which ``execute`` reaches only on a
-    budget overrun."""
+    budget overrun.  ``_Exec.run`` charges pure-HIT probes itself."""
     runtime = _Rt(
         compiled._functions(cmplog),
         compiled.program,
@@ -59,8 +58,7 @@ def run_exact(compiled, data, cmplog):
         DEFAULT_CALL_DEPTH,
         cmplog,
     )
-    result = runtime.run(data)
-    return charge_hits(result) if compiled.instrumentation.pure_hit else result
+    return runtime.run(data)
 
 
 def run_all_executors(program, data=b"\x01\x02"):

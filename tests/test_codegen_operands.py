@@ -36,7 +36,6 @@ from repro.runtime.compiler import _Rt, compile_program, generate_sources
 from repro.runtime.interpreter import (
     DEFAULT_CALL_DEPTH,
     DEFAULT_INSTR_BUDGET,
-    charge_hits,
     execute as interp_execute,
 )
 from repro.runtime.values import ArrayRef, wrap_int
@@ -82,8 +81,7 @@ def _run_exact(compiled, data, cmplog):
         DEFAULT_CALL_DEPTH,
         cmplog,
     )
-    result = runtime.run(data)
-    return charge_hits(result) if instrumentation.pure_hit else result
+    return runtime.run(data)
 
 
 def run_everywhere(source, inputs, feedbacks=("path", "edge")):
