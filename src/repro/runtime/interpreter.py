@@ -331,9 +331,9 @@ class _Exec:
                         elif binop == OP_XOR:
                             value = a ^ b
                         elif binop == OP_DIV or binop == OP_MOD:
+                            div = binop == OP_DIV
                             if b == 0:
                                 self._bin_rule(binop, a, b, fname, ins[5])
-                            div = binop == OP_DIV
                             value = wrap_int(_c_div(a, b) if div else _c_mod(a, b))
                         else:  # OP_SHL / OP_SHR
                             if b < 0 or b > 63:

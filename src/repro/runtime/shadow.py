@@ -12,10 +12,9 @@ plain interpretation of the same input.  The loop keeps ``_Exec``'s
 inline guards; a failed guard calls ``_Exec``'s trap rule for its check
 family (``_bin_rule``, ``_un_rule``, ``_access_rule``, ``_depth_rule``,
 or a builtin's ``_bi_*`` method), so no trap kind or detail is written
-here.  Pure-HIT probes are the same
-one map update as in ``_Exec``; other probe actions run through the
-out-of-line ``_run_actions`` helper, accounting-identical to the inlined
-copy that ``_Exec`` keeps for speed.
+here.  Pure-HIT probes are the same one map update as in ``_Exec``;
+other probe actions run through the out-of-line ``_run_actions`` helper,
+accounting-identical to the inlined copy that ``_Exec`` keeps for speed.
 
 ``None`` is the clean shadow in every domain.  The loop consults the
 domain only when a shadow is present, so clean values cost one
@@ -291,9 +290,9 @@ class ShadowExec(_Exec):
                         elif binop == OP_DIV or binop == OP_MOD:
                             if sb is not None:
                                 steer(sb)
+                            div = binop == OP_DIV
                             if b == 0:
                                 self._bin_rule(binop, a, b, fname, ins[5])
-                            div = binop == OP_DIV
                             value = wrap_int(_c_div(a, b) if div else _c_mod(a, b))
                         else:  # OP_SHL / OP_SHR
                             if sb is not None:
