@@ -176,19 +176,17 @@ class _Exec:
         self._hpath_state = 0x811C9DC5
 
     def run(self, input_bytes):
+        return self._run_main(self._heap.place(input_bytes))
+
+    def _run_main(self, input_ref):
+        """Run ``main(input_ref)``; returns the run's ExecutionResult."""
         retval, trap, timeout = 0, None, False
         try:
-            retval = self._call(
-                self._program.main_index, [self._heap.place(input_bytes)]
-            )
+            retval = self._call(self._program.main_index, [input_ref])
         except Trap as caught:
             trap = caught
         except Timeout:
             timeout = True
-        return self._result(retval, trap, timeout)
-
-    def _result(self, retval, trap, timeout):
-        """The finished run's ExecutionResult."""
         result = ExecutionResult(
             retval,
             trap,

@@ -86,7 +86,7 @@ from repro.runtime.interpreter import (
     _c_mod,
     _Exec,
 )
-from repro.runtime.traps import Timeout, Trap
+from repro.runtime.traps import Timeout
 from repro.runtime.values import ArrayRef, wrap_int
 
 # Builtin argument positions that can steer control: offsets, lengths and
@@ -140,14 +140,7 @@ class ShadowExec(_Exec):
         input_ref = self._heap.place(input_bytes)
         source = self._input_shadow
         self._cells[input_ref.array_id] = [source(i) for i in range(len(input_bytes))]
-        retval, trap, timeout = 0, None, False
-        try:
-            retval = self._call(self._program.main_index, [input_ref], [None])
-        except Trap as caught:
-            trap = caught
-        except Timeout:
-            timeout = True
-        return self._result(retval, trap, timeout), self._finish(len(input_bytes))
+        return self._run_main(input_ref), self._finish(len(input_bytes))
 
     # -- domain hooks: the empty domain ----------------------------------------
 
