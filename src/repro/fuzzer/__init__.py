@@ -15,7 +15,6 @@ from repro.fuzzer.parallel import (
     ParallelMatrixError,
     run_cells,
     run_instance_campaign,
-    run_matrix_parallel,
 )
 from repro.fuzzer.stats import CampaignStats, MatrixProgress
 
@@ -37,7 +36,6 @@ __all__ = [
     "ParallelMatrixError",
     "run_cells",
     "run_instance_campaign",
-    "run_matrix_parallel",
     "CampaignStats",
     "MatrixProgress",
 ]

@@ -192,7 +192,9 @@ class FuzzEngine:
             probe_prune=self.config.probe_prune,
         )
         self.telemetry = telemetry
-        self.tokens = tuple(bytes(t) for t in tokens)
+        # bytearrays, because havoc's slice write copies a bytes token into a
+        # temporary bytearray first.
+        self.tokens = tuple(bytearray(t) for t in tokens)
         self.queue = Queue()
         self.virgin = VirginMap()
         self.crash_virgin = VirginMap()

@@ -3,7 +3,7 @@
 Two multiprocess modes, mirroring how the paper's evaluation was deployed
 on a many-core server:
 
-**Matrix parallelism** (:func:`run_cells`, :func:`run_matrix_parallel`)
+**Matrix parallelism** (:func:`run_cells`)
     fans independent (subject, config, run-seed) campaign cells out over a
     pool of worker *processes*.  Each cell runs in a process of its own, so
     a worker that raises, hangs past its deadline, or dies outright marks
@@ -24,9 +24,10 @@ on a many-core server:
     so the whole campaign is deterministic for a fixed worker count.
 
 Both modes report progress through :mod:`repro.fuzzer.stats`, and both are
-*supervised* (see :mod:`repro.fuzzer.supervisor`): matrix cells that crash
-or time out can be retried with exponential backoff, and instance workers
-that die or stall are restarted from their last checkpoint (or replayed
+*supervised* through :mod:`repro.fuzzer.supervisor`'s one launcher,
+receive, teardown and retry rule: matrix cells that crash or time out can
+be retried with exponential backoff, and instance workers that die or
+stall are restarted from their last checkpoint (or replayed
 deterministically from round zero) with a restart budget — a worker that
 exhausts it is dropped and the campaign continues degraded instead of
 failing.  The :mod:`repro.fuzzer.faultinject` harness drives every one of
@@ -44,13 +45,19 @@ from repro.coverage.bitmap import VirginMap
 from repro.fuzzer.stats import CampaignStats, MatrixProgress
 from repro.fuzzer.supervisor import (
     DEFAULT_WORKER_TIMEOUT,
+    EXIT_GRACE,
     RestartPolicy,
     SupervisedWorker,
     Supervisor,
     WorkerDeadError,
+    WorkerError,
     WorkerLostError,
-    mp_context,
-    recv_with_deadline,
+    WorkerStallError,
+    describe,
+    failure_category,
+    launch,
+    report_error,
+    retryable,
 )
 
 logger = logging.getLogger("repro.fuzzer.parallel")
@@ -110,10 +117,7 @@ def _cell_entry(conn, cell_fn, task):
         result = cell_fn(task)
         conn.send(("ok", result))
     except BaseException as exc:  # report *any* failure, then die quietly
-        try:
-            conn.send(("error", "%s: %s" % (type(exc).__name__, exc)))
-        except Exception:
-            pass
+        report_error(conn.send, "task-error", describe(exc))
     finally:
         try:
             conn.close()
@@ -121,14 +125,12 @@ def _cell_entry(conn, cell_fn, task):
             pass
 
 
+#: CellFailure kind of each failure category; anything else is "error".
+_CELL_KINDS = {"deadline": "timeout", "worker-death": "crashed"}
+
+
 def run_cells(
-    tasks,
-    jobs,
-    timeout=None,
-    cell_fn=None,
-    progress=None,
-    max_restarts=None,
-    restart_policy=None,
+    tasks, jobs, timeout=None, cell_fn=None, progress=None, restart_policy=None
 ):
     """Run independent campaign cells over ``jobs`` worker processes.
 
@@ -140,45 +142,38 @@ def run_cells(
     ("timeout").  A failing cell never aborts the others.
 
     Transient failures ("crashed", "timeout") are retried with exponential
-    backoff up to ``max_restarts`` times per cell (default: the
-    ``REPRO_CELL_RESTARTS`` environment knob, 0).  Deterministic failures
-    ("error": the cell raised) are never retried — rerunning them only
-    reproduces the exception more slowly.  With checkpointing enabled
+    backoff under ``restart_policy`` (default: ``REPRO_CELL_RESTARTS``
+    restarts, 0 when unset).  Deterministic failures ("error": the cell
+    raised) are never retried — rerunning them only reproduces the
+    exception more slowly.  With checkpointing enabled
     (``REPRO_CHECKPOINT_DIR``), a retried campaign cell resumes from its
     last checkpoint instead of recomputing from zero.
     """
     cell_fn = run_campaign_cell if cell_fn is None else cell_fn
     jobs = max(1, int(jobs))
-    if max_restarts is None:
-        max_restarts = int(os.environ.get("REPRO_CELL_RESTARTS", "0") or 0)
-    policy = restart_policy or RestartPolicy(max_restarts=max_restarts)
+    policy = restart_policy or RestartPolicy(
+        max_restarts=int(os.environ.get("REPRO_CELL_RESTARTS", "0") or 0)
+    )
     if progress is None:
         progress = MatrixProgress(total=len(tasks))
-    ctx = mp_context()
     # Work items are (key, task, attempt, not_before): ``not_before`` holds
     # a retried cell out of the pool until its backoff expires.
     pending = deque((key, task, 0, 0.0) for key, task in tasks.items())
-    running = {}  # recv conn -> (key, task, process, started, deadline, attempt)
+    running = {}  # Child -> (key, task, started, deadline, attempt)
     results = {}
     failures = []
 
-    def finish(conn, status, wall, execs=0):
-        key, _, _, _, _, attempt = running.pop(conn)
-        conn.close()
-        progress.record_cell(key, status, wall, execs, restarts=attempt)
-
-    def retire(conn, kind, message, wall):
-        """Fail one attempt: reschedule if transient and budget remains."""
-        key, task, _, _, _, attempt = running[conn]
-        if kind != "error" and attempt < policy.max_restarts:
+    def retire(child, exc, message, wall):
+        """Fail one attempt: reschedule if retryable and budget remains."""
+        key, task, _, _, attempt = running.pop(child)
+        kind = _CELL_KINDS.get(failure_category(exc), "error")
+        if retryable(exc) and attempt < policy.max_restarts:
             delay = policy.delay(attempt + 1)
             progress.record_retry(key, attempt + 1, kind, delay)
-            running.pop(conn)
-            conn.close()
             pending.append((key, task, attempt + 1, time.monotonic() + delay))
             return
         failures.append(CellFailure(key, kind, message, restarts=attempt))
-        finish(conn, kind, wall)
+        progress.record_cell(key, kind, wall, restarts=attempt)
 
     while pending or running:
         now = time.monotonic()
@@ -188,18 +183,13 @@ def run_cells(
             if not_before > now:
                 deferred.append((key, task, attempt, not_before))
                 continue
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_cell_entry, args=(send_conn, cell_fn, task), daemon=True
-            )
-            proc.start()
-            send_conn.close()
+            child = launch(_cell_entry, (cell_fn, task))
             started = time.monotonic()
             deadline = started + timeout if timeout else None
-            running[recv_conn] = (key, task, proc, started, deadline, attempt)
+            running[child] = (key, task, started, deadline, attempt)
         for item in reversed(deferred):
             pending.appendleft(item)
-        wait_until = [d for (_, _, _, _, d, _) in running.values() if d is not None]
+        wait_until = [d for (_, _, _, d, _) in running.values() if d is not None]
         if deferred and len(running) < jobs:
             wait_until.append(min(item[3] for item in deferred))
         wait_for = None
@@ -213,53 +203,32 @@ def run_cells(
         ready = connection.wait(list(running), timeout=wait_for)
         now = time.monotonic()
         if not ready:
-            for conn, (key, task, proc, started, deadline, attempt) in list(
-                running.items()
-            ):
+            for child, (_, _, started, deadline, _) in list(running.items()):
                 if deadline is not None and now >= deadline:
-                    proc.terminate()
-                    proc.join()
-                    retire(
-                        conn,
-                        "timeout",
-                        "exceeded %.1fs wall budget" % timeout,
-                        now - started,
-                    )
+                    child.stop()
+                    message = "exceeded %.1fs wall budget" % timeout
+                    retire(child, WorkerStallError(0, message), message, now - started)
             continue
-        for conn in ready:
-            key, task, proc, started, _, attempt = running[conn]
+        for child in ready:
+            key, _, started, _, attempt = running[child]
             try:
-                status, payload = conn.recv()
-            except (EOFError, OSError):
-                proc.join()
-                message = "worker died without reporting (exit code %s)" % (
-                    proc.exitcode,
-                )
-                retire(conn, "crashed", message, now - started)
+                _, result = child.recv(None, "ok")
+            except WorkerError as exc:
+                child.stop(EXIT_GRACE)
+                if isinstance(exc, WorkerDeadError):
+                    message = "worker died without reporting (exit code %s)" % (
+                        child.proc.exitcode,
+                    )
+                else:
+                    message = exc.detail
+                retire(child, exc, message, now - started)
                 continue
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-            if status == "ok":
-                results[key] = payload
-                finish(conn, "ok", now - started, getattr(payload, "execs", 0))
-            else:
-                retire(conn, "error", payload, now - started)
+            child.stop(EXIT_GRACE)
+            del running[child]
+            results[key] = result
+            execs = getattr(result, "execs", 0)
+            progress.record_cell(key, "ok", now - started, execs, restarts=attempt)
     return results, failures
-
-
-def run_matrix_parallel(cells, jobs, timeout=None, progress=None):
-    """Run a campaign-cell matrix; raise if any cell failed.
-
-    ``cells`` maps (subject, config, run_seed) -> campaign argument tuple.
-    On any failure, raises :class:`ParallelMatrixError` *after* every other
-    cell has completed (partial results attached).
-    """
-    results, failures = run_cells(cells, jobs, timeout=timeout, progress=progress)
-    if failures:
-        raise ParallelMatrixError(failures, results)
-    return results
 
 
 # -- instance parallelism ------------------------------------------------------
@@ -444,10 +413,7 @@ def _instance_worker(
             else:
                 raise ValueError("unknown command %r" % (command[0],))
     except BaseException as exc:
-        try:
-            conn.send(("error", "%s: %s" % (type(exc).__name__, exc)))
-        except Exception:
-            pass
+        report_error(conn.send, "task-error", describe(exc))
     finally:
         if store is not None:
             try:
@@ -458,18 +424,6 @@ def _instance_worker(
             conn.close()
         except Exception:
             pass
-
-
-def _recv_or_raise(conn, worker_index, expected, timeout=DEFAULT_WORKER_TIMEOUT):
-    """Deadline-guarded worker reply (typed errors; never blocks forever).
-
-    Kept under its legacy name; the implementation is
-    :func:`repro.fuzzer.supervisor.recv_with_deadline`, which raises
-    :class:`~repro.fuzzer.supervisor.WorkerStallError` once ``timeout``
-    wall seconds pass without a reply instead of hanging on a half-dead
-    worker pipe.
-    """
-    return recv_with_deadline(conn, timeout, worker_index, expected)
 
 
 def merge_instance_results(
@@ -583,7 +537,6 @@ def run_instance_campaign(
     workers=2,
     sync_interval_ticks=None,
     stats=None,
-    supervise=True,
     restart_policy=None,
     worker_timeout=None,
     checkpoint_dir=None,
@@ -606,8 +559,8 @@ def run_instance_campaign(
     recovered campaign is byte-identical to an undisturbed one.  A worker
     that exhausts its restart budget is dropped: the campaign continues
     with the survivors and the merged result records ``degraded=True``
-    plus per-worker restart counts.  ``supervise=False`` restores the old
-    fail-fast behavior (any worker failure raises).
+    plus per-worker restart counts.  ``RestartPolicy(max_restarts=0)``
+    drops a failing worker at once.
 
     ``output_dir`` switches the campaign to the *durable workspace* mode:
     every worker owns an AFL-style ``<output_dir>/w<i>/`` store slice
@@ -640,10 +593,7 @@ def run_instance_campaign(
         sync_interval_ticks = max(1, budget_ticks // 8)
     if worker_timeout is None:
         worker_timeout = DEFAULT_WORKER_TIMEOUT
-    if restart_policy is None:
-        restart_policy = RestartPolicy() if supervise else RestartPolicy(max_restarts=0)
     subject = get_subject(subject_name)  # also validates the name pre-fork
-    ctx = mp_context()
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
     if output_dir:
@@ -659,11 +609,9 @@ def run_instance_campaign(
 
     def spawn(worker):
         """(Re)start one worker; a replacement climbs the resume ladder."""
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_instance_worker,
-            args=(
-                child_conn,
+        worker.child = launch(
+            _instance_worker,
+            (
                 subject_name,
                 config_name,
                 run_seed,
@@ -674,12 +622,9 @@ def run_instance_campaign(
                 output_dir,
                 resume_store,
             ),
-            daemon=True,
+            worker.index,
         )
-        proc.start()
-        child_conn.close()
-        worker.attach(proc, parent_conn)
-        ready = recv_with_deadline(parent_conn, worker_timeout, worker.index, "ready")
+        ready = worker.child.recv(worker_timeout, "ready")
         worker.resumed_round = ready[1]
         if ready[2]:
             logger.warning(
@@ -691,11 +636,7 @@ def run_instance_campaign(
 
     def _step(worker, command, expected):
         """One unsupervised round trip (used inside replay)."""
-        try:
-            worker.conn.send(command)
-        except (OSError, ValueError) as exc:
-            raise WorkerDeadError(worker.index, "pipe closed on send (%s)" % (exc,))
-        return recv_with_deadline(worker.conn, worker_timeout, worker.index, expected)
+        return worker.child.request(command, worker_timeout, expected)
 
     def replay(worker):
         """Bring a respawned worker back to the current protocol position.
@@ -773,8 +714,6 @@ def run_instance_campaign(
                 try:
                     reply = sup.request(worker, ("run", target), "synced")
                 except WorkerLostError:
-                    if not supervise:
-                        raise
                     continue
                 worker.stage = 1
                 _, fresh, worker_stats = reply
@@ -812,8 +751,6 @@ def run_instance_campaign(
                     try:
                         reply = sup.request(worker, ("sync_dir", round_no), "imported")
                     except WorkerLostError:
-                        if not supervise:
-                            raise
                         continue
                     imported[worker.index] = reply[1]
                     offered += reply[2]
@@ -829,8 +766,6 @@ def run_instance_campaign(
                                 worker, ("import", list(blob)), "imported"
                             )
                         except WorkerLostError:
-                            if not supervise:
-                                raise
                             continue
                         imported[worker.index] = reply[1]
                     worker.stage = 2
@@ -839,8 +774,6 @@ def run_instance_campaign(
                     try:
                         sup.request(worker, ("checkpoint", round_no), "checkpointed")
                     except WorkerLostError:
-                        if not supervise:
-                            raise
                         continue
             for worker in sup.alive():
                 worker.history.append((target, worker.pending_imports))
@@ -862,12 +795,11 @@ def run_instance_campaign(
             try:
                 reply = sup.request(worker, ("finish",), "result")
             except WorkerLostError:
-                if not supervise:
-                    raise
                 continue
+            worker.stop(EXIT_GRACE)
             worker_results.append(reply[1])
     finally:
-        sup.terminate_all()
+        sup.stop_all()
     if not worker_results:
         raise RuntimeError(
             "campaign %s/%s#%d lost all %d workers; no results to merge"

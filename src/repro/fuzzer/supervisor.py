@@ -1,43 +1,44 @@
-"""Worker supervision: deadline-guarded pipes, restarts with backoff, degradation.
+"""Child-process supervision: one launcher, receive, teardown and retry rule.
 
-The instance-parallel campaign (:mod:`repro.fuzzer.parallel`) drives engine
-workers over pipes.  Before this module, one dead or wedged worker killed
-the whole campaign and every worker's progress with it.  The supervisor
-turns worker failure into a recoverable event:
+Matrix cells (:func:`repro.fuzzer.parallel.run_cells`), instance workers
+(:func:`repro.fuzzer.parallel.run_instance_campaign`) and service jobs
+(:class:`repro.service.CampaignService`) each keep their own policy, but
+share this mechanism:
 
-- :func:`recv_with_deadline` never blocks forever on a half-dead pipe; it
-  raises a *typed* error — :class:`WorkerStallError` (deadline passed),
-  :class:`WorkerDeadError` (EOF/broken pipe), :class:`WorkerTaskError`
-  (the worker reported an exception of its own).
-- :class:`Supervisor.request` wraps every send/recv round trip.  On a stall
-  or death it terminates the worker, waits out an exponential backoff
-  (:class:`RestartPolicy`), respawns it (resuming from its last checkpoint
-  when one is valid), replays the current round's protocol suffix, and
-  retries the request — all deterministic on the virtual clock, so a
-  recovered campaign is byte-identical to an undisturbed one.
-- A worker that exhausts its restart budget is *dropped*, not fatal:
-  :class:`WorkerLostError` tells the campaign loop to continue degraded
-  with the survivors, and the final result records the degradation.
+- :func:`launch` starts a daemon child over a pipe; :meth:`Child.stop` is
+  the one teardown (exit grace, then SIGTERM, join 5 s, SIGKILL).
+- A child reports its own failure as ``("error", category, detail)``
+  (:func:`report_error`).  :func:`recv_with_deadline` never blocks past
+  its deadline and decodes every failure into a typed error:
+  :class:`WorkerStallError` (deadline passed), :class:`WorkerDeadError`
+  (EOF/broken pipe, or a reported ``worker-death``),
+  :class:`WorkerTaskError` (the child's own exception, or an unexpected
+  tag) or a :class:`~repro.fuzzer.checkpoint.CheckpointCorruptError`.
+- :func:`retryable` retries only a missed deadline or a dead worker: task
+  errors and corrupt checkpoints are deterministic, so a restart would
+  only reproduce them more slowly.
 
-Worker exceptions (``WorkerTaskError``) are deliberately not retried: they
-are deterministic, so a restart would only reproduce them more slowly.
+:class:`Supervisor` is the instance workers' policy.  On a retryable
+failure :meth:`Supervisor.request` stops the worker, backs off
+(:class:`RestartPolicy`), respawns it (resuming from its last checkpoint
+when one is valid), replays the current round's protocol suffix and
+retries, so a recovered campaign is byte-identical to an undisturbed one.
+A worker that exhausts its restart budget is dropped
+(:class:`WorkerLostError`) and the campaign continues degraded.
 """
 
 import multiprocessing
 import time
 
-from repro.fuzzer.checkpoint import CheckpointError
+from repro.fuzzer.checkpoint import CheckpointCorruptError, CheckpointError
 
 # How long (wall seconds) a reply may take before the worker counts as
 # stalled.  Virtual-clock rounds complete in milliseconds; two minutes of
 # silence means a wedged pipe, not a slow campaign.
 DEFAULT_WORKER_TIMEOUT = 120.0
 
-
-def mp_context():
-    """Prefer fork (cheap, inherits built subjects); fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+#: Wall seconds a child that sent its final message gets to exit by itself.
+EXIT_GRACE = 10.0
 
 
 class WorkerError(RuntimeError):
@@ -57,10 +58,17 @@ class WorkerDeadError(WorkerError):
 
 
 class WorkerTaskError(WorkerError):
-    """The worker reported an exception of its own (deterministic; no retry)."""
+    """The worker reported an exception of its own (deterministic; no retry).
+
+    ``detail`` is the report as the child sent it.
+    """
+
+    def __init__(self, worker_index, detail):
+        self.detail = detail
+        super().__init__(worker_index, "failed: %s" % (detail,))
 
 
-class WorkerProtocolError(WorkerError):
+class WorkerProtocolError(WorkerTaskError):
     """The worker replied with an unexpected message tag."""
 
 
@@ -85,6 +93,16 @@ def failure_category(exc):
     if isinstance(exc, WorkerTaskError):
         return "task-error"
     return "error"
+
+
+def retryable(exc):
+    """The one retry rule: only a missed deadline or a dead worker."""
+    return failure_category(exc) in ("deadline", "worker-death")
+
+
+def describe(exc):
+    """``"Type: message"``: how failures read in reports, events and journals."""
+    return "%s: %s" % (type(exc).__name__, exc)
 
 
 class RestartPolicy:
@@ -125,31 +143,117 @@ class RestartPolicy:
         )
 
 
-def recv_with_deadline(conn, timeout, worker_index, expected=None):
+def report_error(send, category, detail):
+    """Child side: report a failure as ``("error", category, detail)``.
+
+    ``category`` is a :func:`failure_category` value.  A pipe that is
+    already gone is ignored; the parent then sees EOF instead.
+    """
+    try:
+        send(("error", category, detail))
+    except Exception:
+        pass
+
+
+def recv_with_deadline(conn, timeout, worker_index, expected=None, during="campaign"):
     """Receive one reply, bounded by ``timeout`` wall seconds.
 
-    ``timeout=None`` means wait forever (the legacy behavior; supervised
-    campaigns always pass a deadline).  Raises the typed worker errors
-    documented in the module docstring; an ``("error", msg)`` reply becomes
-    :class:`WorkerTaskError`.
+    ``timeout=None`` waits forever; ``0`` only takes a reply that is already
+    there.  ``expected`` is the tag (or tuple of tags) the caller accepts.
+    Raises the typed errors documented in the module docstring; ``during``
+    names what a dead worker died in the middle of.
     """
-    if timeout is not None:
-        if not conn.poll(timeout):
+    try:
+        if timeout is not None and not conn.poll(timeout):
             raise WorkerStallError(
                 worker_index,
                 "sent no reply within %.1fs (stalled or wedged pipe)" % timeout,
             )
-    try:
         reply = conn.recv()
     except (EOFError, OSError) as exc:
-        raise WorkerDeadError(worker_index, "died mid-campaign (%s)" % (exc,))
-    if reply[0] == "error":
-        raise WorkerTaskError(worker_index, "failed: %s" % (reply[1],))
-    if expected is not None and reply[0] != expected:
+        raise WorkerDeadError(worker_index, "died mid-%s (%s)" % (during, exc))
+    tag = reply[0]
+    if tag == "error":
+        category, detail = reply[1], reply[2]
+        if category == "checkpoint-corrupt":
+            raise CheckpointCorruptError(detail)
+        if category == "worker-death":
+            raise WorkerDeadError(worker_index, detail)
+        raise WorkerTaskError(worker_index, detail)
+    if isinstance(expected, str):
+        expected = (expected,)
+    if expected is not None and tag not in expected:
         raise WorkerProtocolError(
-            worker_index, "sent %r, expected %r" % (reply[0], expected)
+            worker_index, "sent %r, expected %r" % (tag, "/".join(expected))
         )
     return reply
+
+
+class Child:
+    """A launched child process and the parent's end of its pipe.
+
+    ``index`` names the child in its errors.  A ``Child`` can be passed to
+    :func:`multiprocessing.connection.wait` directly.
+    """
+
+    __slots__ = ("proc", "conn", "index")
+
+    def __init__(self, proc, conn, index):
+        self.proc = proc
+        self.conn = conn
+        self.index = index
+
+    def fileno(self):
+        return self.conn.fileno()
+
+    def send(self, message):
+        try:
+            self.conn.send(message)
+        except (OSError, ValueError) as exc:
+            raise WorkerDeadError(self.index, "pipe closed on send (%s)" % (exc,))
+
+    def recv(self, timeout, expected=None, during="campaign"):
+        return recv_with_deadline(self.conn, timeout, self.index, expected, during)
+
+    def request(self, command, timeout, expected):
+        """One round trip: send ``command``, return the decoded reply."""
+        self.send(command)
+        return self.recv(timeout, expected)
+
+    def stop(self, grace=0.0):
+        """The one teardown (idempotent).
+
+        Close the pipe, give the child up to ``grace`` seconds to exit by
+        itself (pass :data:`EXIT_GRACE` once it sent its final message),
+        then SIGTERM, join 5 s and SIGKILL.
+        """
+        try:
+            self.conn.close()
+        except Exception:
+            pass
+        proc = self.proc
+        if grace:
+            proc.join(grace)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(5)
+        if proc.is_alive():
+            proc.kill()
+        proc.join(5)
+
+
+def launch(target, args=(), index=0):
+    """Start ``target(conn, *args)`` in a daemon child; return its :class:`Child`.
+
+    Fork is preferred (cheap, inherits built subjects), spawn the fallback.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    parent_conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(target=target, args=(child_conn,) + tuple(args), daemon=True)
+    proc.start()
+    child_conn.close()
+    return Child(proc, parent_conn, index)
 
 
 class SupervisedWorker:
@@ -157,8 +261,7 @@ class SupervisedWorker:
 
     __slots__ = (
         "index",
-        "proc",
-        "conn",
+        "child",
         "alive",
         "restarts",
         "incarnation",
@@ -171,8 +274,7 @@ class SupervisedWorker:
 
     def __init__(self, index, checkpoint_path=None):
         self.index = index
-        self.proc = None
-        self.conn = None
+        self.child = None
         self.alive = True
         self.restarts = 0
         self.incarnation = 0
@@ -188,23 +290,11 @@ class SupervisedWorker:
         self.pending_imports = ()
         self.checkpoint_path = checkpoint_path
 
-    def attach(self, proc, conn):
-        self.proc = proc
-        self.conn = conn
-
-    def terminate(self):
-        """Tear down the current process/pipe pair (idempotent)."""
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except Exception:
-                pass
-            self.conn = None
-        if self.proc is not None:
-            if self.proc.is_alive():
-                self.proc.terminate()
-            self.proc.join()
-            self.proc = None
+    def stop(self, grace=0.0):
+        """Tear down the current process (idempotent); see :meth:`Child.stop`."""
+        if self.child is not None:
+            self.child.stop(grace)
+            self.child = None
 
     def __repr__(self):
         return "SupervisedWorker(%d, inc=%d, restarts=%d%s)" % (
@@ -218,12 +308,12 @@ class SupervisedWorker:
 class Supervisor:
     """Restart-with-backoff supervision over a set of workers.
 
-    ``spawn_fn(worker)`` must start a fresh process for ``worker`` (honoring
-    ``worker.incarnation`` and its checkpoint) and attach proc/conn;
-    ``replay_fn(worker)`` must bring a just-respawned worker back to the
-    current protocol position (resume + deterministic replay).  ``stats``
-    may provide ``record_restart`` / ``record_degraded`` hooks
-    (:class:`repro.fuzzer.stats.CampaignStats` does).
+    ``spawn_fn(worker)`` must launch a fresh :class:`Child` for ``worker``
+    (honoring ``worker.incarnation`` and its checkpoint) into
+    ``worker.child``; ``replay_fn(worker)`` must bring a just-respawned
+    worker back to the current protocol position (resume + deterministic
+    replay).  ``stats`` may provide ``record_restart`` / ``record_degraded``
+    hooks (:class:`repro.fuzzer.stats.CampaignStats` does).
     """
 
     def __init__(
@@ -254,25 +344,18 @@ class Supervisor:
         """
         while True:
             try:
-                if command is not None:
-                    try:
-                        worker.conn.send(command)
-                    except (OSError, ValueError) as exc:
-                        raise WorkerDeadError(
-                            worker.index, "pipe closed on send (%s)" % (exc,)
-                        )
-                return recv_with_deadline(
-                    worker.conn, self.timeout, worker.index, expected
-                )
-            except (WorkerStallError, WorkerDeadError) as exc:
+                return worker.child.request(command, self.timeout, expected)
+            except WorkerError as exc:
+                if not retryable(exc):
+                    raise
                 self._recover(worker, exc)
 
     def _recover(self, worker, cause):
-        """Terminate, back off, respawn, replay — or drop the worker."""
-        reason = "%s: %s" % (type(cause).__name__, cause)
+        """Stop, back off, respawn, replay — or drop the worker."""
         last_exc = cause
         while True:
-            worker.terminate()
+            reason = describe(last_exc)
+            worker.stop()
             if worker.restarts >= self.policy.max_restarts:
                 worker.alive = False
                 if self.stats is not None:
@@ -298,12 +381,13 @@ class Supervisor:
                 self.spawn_fn(worker)
                 self.replay_fn(worker)
                 return
-            except (WorkerStallError, WorkerDeadError) as exc:
-                # The replacement died too (e.g. a fault targeting the new
-                # incarnation); charge another restart and keep going.
-                reason = "%s: %s" % (type(exc).__name__, exc)
+            except WorkerError as exc:
+                # The replacement failed too (e.g. a fault targeting the
+                # new incarnation); charge another restart if retryable.
+                if not retryable(exc):
+                    raise
                 last_exc = exc
 
-    def terminate_all(self):
+    def stop_all(self):
         for worker in self.workers:
-            worker.terminate()
+            worker.stop()

@@ -12,11 +12,14 @@ bounded pool of worker processes.  Robustness is the design center:
   charge — the job did nothing wrong), rebuilds the per-tenant retry
   counters and the crash-dedupe index from disk, and stamps a new epoch
   record.  Jobs then resume from their checkpoint or store slice.
-- **Deadlines.**  Replies are awaited with ``recv_with_deadline``
-  semantics: a missing heartbeat raises the typed
+- **Deadlines.**  Workers are launched, polled and stopped through
+  :mod:`repro.fuzzer.supervisor`'s one launcher, receive and teardown,
+  which decode a worker's own error report into the typed errors.  The
+  service adds its deadlines on top: a missing heartbeat raises the typed
   :class:`~repro.service.jobs.HeartbeatTimeoutError`, a blown per-attempt
   wall budget :class:`~repro.service.jobs.WallBudgetError`.
-- **Budgets.**  Transient failures retry with
+- **Budgets.**  Failures that the supervisor's one retry rule calls
+  retryable (a missed deadline, a dead worker) retry with
   :class:`~repro.fuzzer.supervisor.RestartPolicy` backoff, bounded by
   per-job *and* per-tenant retry budgets; exhaustion degrades the job to
   the terminal ``DEGRADED`` state with a machine-readable
@@ -34,7 +37,7 @@ import os
 import signal
 import time
 
-from repro.fuzzer.checkpoint import CheckpointCorruptError, CheckpointError
+from repro.fuzzer.checkpoint import CheckpointError
 from repro.fuzzer.store import (
     CRASH_DIR,
     StoreLockError,
@@ -46,12 +49,14 @@ from repro.fuzzer.store import (
     _pid_alive,
 )
 from repro.fuzzer.supervisor import (
+    EXIT_GRACE,
     RestartPolicy,
-    WorkerDeadError,
     WorkerError,
-    WorkerTaskError,
+    WorkerStallError,
+    describe,
     failure_category,
-    mp_context,
+    launch,
+    retryable,
 )
 from repro.service import intake
 from repro.service.dedupe import CrashDedupe
@@ -72,10 +77,6 @@ from repro.service.worker import STORE_DIR, job_worker_main
 from repro.telemetry.bus import ServiceEvent, WorkerDroppedEvent, get_bus
 
 JOBS_DIR = "jobs"
-
-#: Deterministic failure categories that must not be retried: a restart
-#: would only reproduce them more slowly (cf. WorkerTaskError in PR 2).
-_NO_RETRY_CATEGORIES = ("task-error", "checkpoint-corrupt")
 
 
 def load_service_state(root):
@@ -289,7 +290,7 @@ class CampaignService:
         self.draining = False
         self._tenant_retries = {}
         self._claimed = set()  # job ids a runner coroutine currently owns
-        self._procs = {}  # job id -> live worker Process
+        self._procs = {}  # job id -> live worker Child
         self._seen_seqs = set()  # journal seqs this life wrote or folded
         self._records_since_compact = 0
         self._recover()
@@ -825,22 +826,23 @@ class CampaignService:
         try:
             while True:
                 incarnation = record.attempts
-                proc, conn = self._spawn(spec, incarnation)
+                child = self._spawn(spec, incarnation)
+                pid = child.proc.pid
                 self._journal(
                     spec.job_id,
                     "start",
-                    {"attempt": incarnation, "pid": proc.pid, "host": lock_host()},
+                    {"attempt": incarnation, "pid": pid, "host": lock_host()},
                 )
                 self.bus.publish(
                     ServiceEvent(
                         "start",
                         job=spec.job_id,
                         tenant=spec.tenant,
-                        detail="attempt %d pid %d" % (incarnation, proc.pid),
+                        detail="attempt %d pid %d" % (incarnation, pid),
                     )
                 )
                 try:
-                    summary = await self._drive(record, conn)
+                    summary = await self._drive(record, child)
                 except (WorkerError, CheckpointError) as exc:
                     self._kill_worker(spec.job_id)
                     if record.terminal():
@@ -848,7 +850,7 @@ class CampaignService:
                     if not await self._charge_retry(record, exc):
                         return
                     continue
-                self._kill_worker(spec.job_id)
+                self._kill_worker(spec.job_id, EXIT_GRACE)
                 self._journal(spec.job_id, "done", {"summary": summary})
                 self.dedupe.rescan_job(self.jobs_dir, spec.job_id)
                 self.bus.publish(
@@ -869,8 +871,8 @@ class CampaignService:
         """Charge a failed attempt; True to retry, False once degraded."""
         spec = record.spec
         category = failure_category(exc)
-        detail = "%s: %s" % (type(exc).__name__, exc)
-        if category in _NO_RETRY_CATEGORIES:
+        detail = describe(exc)
+        if not retryable(exc):
             self._degrade(record, category, detail)
             return False
         tenant_used = self._tenant_retries.get(spec.tenant, 0)
@@ -934,51 +936,31 @@ class CampaignService:
             )
         )
 
-    async def _drive(self, record, conn):
+    async def _drive(self, record, child):
         """Await heartbeats until the final result, deadline-guarded."""
         spec = record.spec
-        loop = asyncio.get_event_loop()
-        wall_end = loop.time() + spec.wall_budget
+        wall_end = asyncio.get_event_loop().time() + spec.wall_budget
         while True:
-            message = await self._recv(conn, spec, wall_end)
-            if message[0] == "heartbeat":
-                record.progress = message[1]
-                continue
-            if message[0] == "done":
-                return message[1]
-            if message[0] == "error":
-                category, detail = message[1], message[2]
-                if category == "checkpoint-corrupt":
-                    raise CheckpointCorruptError(
-                        "job %s refused its checkpoint: %s" % (spec.job_id, detail)
-                    )
-                if category == "fenced":
-                    # The worker's store lease was stolen (paused host,
-                    # expired slice lease).  Retryable: a respawn takes a
-                    # fresh slice epoch; the stale attempt's writes were
-                    # refused at the store boundary.
-                    raise WorkerDeadError(spec.index, "fenced mid-job: %s" % detail)
-                raise WorkerTaskError(spec.index, "failed: %s" % (detail,))
-            raise WorkerTaskError(
-                spec.index, "sent unexpected message %r" % (message[0],)
-            )
+            tag, payload = await self._recv(child, spec, wall_end)
+            if tag == "done":
+                return payload
+            record.progress = payload
 
-    async def _recv(self, conn, spec, wall_end):
-        """One reply with ``recv_with_deadline`` semantics, non-blocking.
+    async def _recv(self, child, spec, wall_end):
+        """One decoded reply, polled cooperatively under the job's deadlines.
 
-        Polls the pipe cooperatively (the event loop keeps scheduling other
-        jobs) and raises the typed timeout errors: heartbeat silence is a
-        :class:`HeartbeatTimeoutError`, the attempt's wall budget a
-        :class:`WallBudgetError`, EOF a dead worker.
+        The event loop keeps scheduling other jobs between polls.  Heartbeat
+        silence raises :class:`HeartbeatTimeoutError`, the attempt's wall
+        budget :class:`WallBudgetError`; the receive itself raises the
+        typed error of a dead worker or of the worker's own report.
         """
         loop = asyncio.get_event_loop()
         heartbeat_end = loop.time() + spec.heartbeat_timeout
         while True:
             try:
-                if conn.poll(0):
-                    return conn.recv()
-            except (EOFError, OSError) as exc:
-                raise WorkerDeadError(spec.index, "died mid-job (%s)" % (exc,))
+                return child.recv(0, ("heartbeat", "done"), during="job")
+            except WorkerStallError:
+                pass  # nothing to read yet
             now = loop.time()
             if now >= wall_end:
                 raise WallBudgetError(
@@ -1000,33 +982,18 @@ class CampaignService:
     def _spawn(self, spec, incarnation):
         job_dir = self._job_dir(spec.job_id)
         os.makedirs(job_dir, exist_ok=True)
-        ctx = mp_context()
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=job_worker_main,
-            args=(child_conn, spec.to_dict(), job_dir, incarnation, self.lease_ttl),
-            daemon=True,
+        child = launch(
+            job_worker_main,
+            (spec.to_dict(), job_dir, incarnation, self.lease_ttl),
+            spec.index,
         )
-        proc.start()
-        child_conn.close()
-        self._procs[spec.job_id] = (proc, parent_conn)
-        return proc, parent_conn
+        self._procs[spec.job_id] = child
+        return child
 
-    def _kill_worker(self, job_id):
-        entry = self._procs.pop(job_id, None)
-        if entry is None:
-            return
-        proc, conn = entry
-        try:
-            conn.close()
-        except Exception:
-            pass
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(5)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(5)
+    def _kill_worker(self, job_id, grace=0.0):
+        child = self._procs.pop(job_id, None)
+        if child is not None:
+            child.stop(grace)
 
     # -- load shedding ---------------------------------------------------------
 

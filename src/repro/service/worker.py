@@ -13,6 +13,13 @@ A job whose spec says ``require_checkpoint`` does not fall back: a
 refused checkpoint is reported as a typed ``checkpoint-corrupt`` failure
 and the job degrades instead of silently recomputing.
 
+Failures travel as the supervisor's one child-side error report,
+``("error", category, detail)`` (:func:`~repro.fuzzer.supervisor.report_error`):
+``checkpoint-corrupt`` for that refusal, ``worker-death`` for a stolen
+store lease (retried with a fresh slice epoch), ``task-error`` for any
+other exception.  The orchestrator's receive decodes them into the typed
+errors its retry rule reads.
+
 Every outbound message (heartbeats and the final result alike) passes the
 fault gate: ``job-drop@<job-index>.<msg>`` swallows it, ``heartbeat-stall``
 wedges first — exactly the half-dead-pipe shapes the orchestrator's
@@ -25,6 +32,7 @@ from repro.experiments.config import build_session
 from repro.fuzzer import faultinject
 from repro.fuzzer.session import REFUSED
 from repro.fuzzer.store import MAIN_WORKER, CampaignStore, StoreFencedError
+from repro.fuzzer.supervisor import describe, report_error
 from repro.service.jobs import JobSpec
 from repro.subjects import get_subject
 
@@ -78,8 +86,8 @@ def job_worker_main(conn, spec_dict, job_dir, incarnation=0, lease_ttl=None):
     a lease too: the worker renews it at every slice boundary, and a
     successor service on another host can steal the slice once the lease
     runs out instead of waiting on an unkillable foreign pid.  A worker
-    whose slice lease was stolen reports the typed ``fenced`` failure —
-    the orchestrator retries with a fresh slice epoch, and every write
+    whose slice lease was stolen reports a ``worker-death`` failure
+    (``fenced mid-job: …``) — the orchestrator retries with a fresh slice epoch, and every write
     the stale attempt tried after the steal was refused at the store
     boundary (:class:`~repro.fuzzer.store.StoreFencedError`).
     """
@@ -120,7 +128,11 @@ def job_worker_main(conn, spec_dict, job_dir, incarnation=0, lease_ttl=None):
             retried, replay_store=retried, require_checkpoint=spec.require_checkpoint
         )
         if resumed.rung == REFUSED:  # require_checkpoint: degrade, typed
-            guard.send(("error", "checkpoint-corrupt", resumed.refusal))
+            report_error(
+                guard.send,
+                "checkpoint-corrupt",
+                "job %s refused its checkpoint: %s" % (spec.job_id, resumed.refusal),
+            )
             return
         done_slices = int(resumed.meta.get("slice", 0))
         plan = faultinject.active_plan()
@@ -139,15 +151,9 @@ def job_worker_main(conn, spec_dict, job_dir, incarnation=0, lease_ttl=None):
         store.finalize(engine, extra={"job": spec.job_id})
         guard.send(("done", _summary(engine, SLICES)))
     except StoreFencedError as exc:
-        try:
-            guard.send(("error", "fenced", "%s: %s" % (type(exc).__name__, exc)))
-        except Exception:
-            pass
+        report_error(guard.send, "worker-death", "fenced mid-job: " + describe(exc))
     except BaseException as exc:
-        try:
-            guard.send(("error", "task-error", "%s: %s" % (type(exc).__name__, exc)))
-        except Exception:
-            pass
+        report_error(guard.send, "task-error", describe(exc))
     finally:
         if store is not None:
             try:

@@ -22,7 +22,6 @@ from repro.fuzzer.faultinject import (
     parse_faults,
 )
 from repro.fuzzer.parallel import (
-    _recv_or_raise,
     run_cells,
     run_instance_campaign,
 )
@@ -31,6 +30,7 @@ from repro.fuzzer.supervisor import (
     RestartPolicy,
     WorkerStallError,
     WorkerTaskError,
+    recv_with_deadline,
 )
 
 pytestmark = pytest.mark.faultinject
@@ -143,25 +143,25 @@ def test_install_and_active_plan_cross_env(monkeypatch):
     assert faultinject.active_plan().match("sync", 0, 3, 0) is not None
 
 
-# -- typed pipe errors (satellite: _recv_or_raise deadline) --------------------
+# -- typed pipe errors (recv_with_deadline) ------------------------------------
 
 
-def test_recv_or_raise_raises_typed_stall_on_silent_pipe():
+def test_recv_with_deadline_raises_typed_stall_on_silent_pipe():
     recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
     start = time.monotonic()
     with pytest.raises(WorkerStallError) as excinfo:
-        _recv_or_raise(recv_conn, 3, expected="synced", timeout=0.2)
+        recv_with_deadline(recv_conn, 0.2, 3, expected="synced")
     assert time.monotonic() - start < 5  # bounded, never blocks forever
     assert excinfo.value.worker_index == 3
     send_conn.close()
     recv_conn.close()
 
 
-def test_recv_or_raise_surfaces_worker_errors():
+def test_recv_with_deadline_surfaces_worker_errors():
     recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
-    send_conn.send(("error", "ValueError: boom"))
+    send_conn.send(("error", "task-error", "ValueError: boom"))
     with pytest.raises(WorkerTaskError, match="boom"):
-        _recv_or_raise(recv_conn, 0, expected="synced", timeout=1.0)
+        recv_with_deadline(recv_conn, 1.0, 0, expected="synced")
     send_conn.close()
     recv_conn.close()
 
@@ -248,12 +248,19 @@ def test_restart_budget_exhaustion_degrades_not_fails():
     assert worker_results[0] == solo_workers[0]
 
 
-def test_unsupervised_campaign_fails_fast():
+def test_zero_restart_budget_drops_the_worker_at_once():
+    """``--max-restarts 0``: the first death drops the worker and degrades."""
     with injected("kill@1.2"):
-        with pytest.raises(Exception):
-            run_instance_campaign(
-                "flvmeta", "path", 0, BUDGET, workers=2, supervise=False
-            )
+        merged, worker_results, stats = _supervised(
+            restart_policy=RestartPolicy(max_restarts=0)
+        )
+    assert merged.degraded
+    assert merged.worker_restarts == (0, 0)
+    assert len(worker_results) == 1
+    assert stats.restarts == []
+    assert [(e.worker, e.cause, e.detail) for e in stats.degraded_workers] == [
+        (1, "restart-budget", "worker-death")
+    ]
 
 
 # -- matrix-cell retries -------------------------------------------------------
