@@ -14,11 +14,12 @@ refused checkpoint is reported as a typed ``checkpoint-corrupt`` failure
 and the job degrades instead of silently recomputing.
 
 Failures travel as the supervisor's one child-side error report,
-``("error", category, detail)`` (:func:`~repro.fuzzer.supervisor.report_error`):
-``checkpoint-corrupt`` for that refusal, ``worker-death`` for a stolen
-store lease (retried with a fresh slice epoch), ``task-error`` for any
-other exception.  The orchestrator's receive decodes them into the typed
-errors its retry rule reads.
+``("error", category, detail)``
+(:func:`~repro.fuzzer.supervisor.report_error`): ``checkpoint-corrupt``
+for that refusal, ``worker-death`` for a stolen store lease (retried with
+a fresh slice epoch), ``task-error`` for any other exception.  The
+orchestrator's receive decodes them into the typed errors its retry rule
+reads.
 
 Every outbound message (heartbeats and the final result alike) passes the
 fault gate: ``job-drop@<job-index>.<msg>`` swallows it, ``heartbeat-stall``
@@ -87,9 +88,10 @@ def job_worker_main(conn, spec_dict, job_dir, incarnation=0, lease_ttl=None):
     successor service on another host can steal the slice once the lease
     runs out instead of waiting on an unkillable foreign pid.  A worker
     whose slice lease was stolen reports a ``worker-death`` failure
-    (``fenced mid-job: …``) — the orchestrator retries with a fresh slice epoch, and every write
-    the stale attempt tried after the steal was refused at the store
-    boundary (:class:`~repro.fuzzer.store.StoreFencedError`).
+    (``fenced mid-job: …``) — the orchestrator retries with a fresh slice
+    epoch, and every write the stale attempt tried after the steal was
+    refused at the store boundary
+    (:class:`~repro.fuzzer.store.StoreFencedError`).
     """
     spec = JobSpec.from_dict(spec_dict)
     guard = _WireGuard(conn, spec.index, incarnation)
