@@ -677,7 +677,7 @@ def cmd_fuzz(args):
 
 def cmd_cmin(args):
     from repro.fuzzer.cmin import coverage_of, minimize_corpus
-    from repro.fuzzer.store import artifact_name, atomic_write_bytes, content_hash
+    from repro.fuzzer.store import content_hash, write_sealed
 
     subject = get_subject(args.subject)
     spec = FUZZER_CONFIGS[args.config]
@@ -714,10 +714,7 @@ def cmd_cmin(args):
     )
     os.makedirs(args.output_dir, exist_ok=True)
     for seq, data in enumerate(kept):
-        atomic_write_bytes(
-            os.path.join(args.output_dir, artifact_name(seq, content_hash(data))),
-            data,
-        )
+        write_sealed(args.output_dir, "id", seq, data)
     before = coverage_of(subject.program, inputs, feedback=feedback, instr_budget=budget)
     after = coverage_of(subject.program, kept, feedback=feedback, instr_budget=budget)
     print("minimized %d unique inputs -> %d (%s coverage: %d -> %d indices)"

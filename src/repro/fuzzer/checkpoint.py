@@ -16,13 +16,16 @@ files produced by other versions of themselves:
   :class:`CheckpointStaleError`.
 
 Nothing here unpickles a byte of payload before every header check passes.
-Writes are atomic (tmp file + ``os.replace``), so a crash during
+Writes go through the store's :func:`~repro.fuzzer.store.atomic_write_bytes`
+(tmp file + fsync + ``os.replace``), so a crash during
 :func:`write_checkpoint` leaves the previous checkpoint intact.
 """
 
 import hashlib
 import os
 import pickle
+
+from repro.fuzzer.store import atomic_write_bytes
 
 MAGIC = b"REPROCKPT\x00"
 VERSION = 1
@@ -88,16 +91,8 @@ def write_checkpoint(path, state, meta=None, fingerprint=None):
         + fingerprint.encode("ascii")
         + hashlib.sha256(payload).digest()
     )
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(header)
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    return path
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return atomic_write_bytes(path, header + payload)
 
 
 def read_checkpoint(path, fingerprint=None, check_fingerprint=True):

@@ -18,15 +18,15 @@ for the reproduction:
         hangs/                  id:NNNNNN,hash:<sha1> hanging inputs
         quarantine/             torn / hash-mismatched files the scanner evicted
 
-Every write is atomic (tmp + ``fsync`` + ``os.replace``), so a file either
-exists whole or not at all; a crash mid-write leaves at worst a stale
-``*.tmp`` that the next scan quarantines.  Artifact names embed the content
-hash, which makes the store content-addressed (cross-instance dedup needs no
-index) and *self-verifying*: the tolerant scanner (:meth:`CampaignStore.scan`)
-re-hashes every file, moves anything torn, truncated, misnamed, or
-bit-rotted into ``quarantine/`` — counted, logged, published to telemetry,
-never fatal — and hands the survivors back for deterministic re-execution
-through :meth:`~repro.fuzzer.engine.FuzzEngine.import_input`
+Every artifact is a *sealed file* — ``head:key[,sig:…],hash:<sha1>``,
+written atomically and trusted only once its body matches its name — and
+this module holds the one codec for that format, which the service
+journal, its snapshots and its intake requests use too (DESIGN.md §8).
+The tolerant scanner (:meth:`CampaignStore.scan`) verifies every file,
+quarantines anything torn, truncated, misnamed, or bit-rotted — counted,
+logged, published to telemetry, never fatal — and hands the survivors
+back for deterministic re-execution through
+:meth:`~repro.fuzzer.engine.FuzzEngine.import_input`
 (:meth:`CampaignStore.replay_into`).
 
 The store is an *observer* of the engine, like telemetry: it charges no
@@ -66,8 +66,6 @@ MAIN_WORKER = "main"
 #: Lease on a steal marker: a stealer wedged on one host cannot block
 #: other hosts past this many seconds.
 _STEAL_MARKER_TTL = 30.0
-
-_ID_WIDTH = 6
 
 
 class StoreError(RuntimeError):
@@ -177,6 +175,172 @@ def _fsync_dir(path):
         pass
     finally:
         os.close(fd)
+
+
+# -- sealed files ----------------------------------------------------------------
+
+#: Heads of the sealed names this tree writes (DESIGN.md §8), each with the
+#: width its integer key is zero-padded to; None marks a text key (a nonce).
+SEALED_HEADS = {"id": 6, "rec": 8, "snap": 8, "req": None}
+
+#: The head whose names may carry a ``sig:`` field (crash artifacts).
+_SIGNED_HEAD = "id"
+
+EMPTY_FILE = "empty file (torn write)"
+HASH_MISMATCH = "hash mismatch (torn?)"
+
+#: :class:`ScanReport` code of each :func:`read_sealed` failure; any other
+#: reason is an unreadable file.
+_SCAN_CODES = {EMPTY_FILE: "empty", HASH_MISMATCH: "bad-hash"}
+
+
+def sealed_name(head, key, digest, sig=None):
+    """``head:key[,sig:…],hash:<digest>``, the name of a sealed file."""
+    width = SEALED_HEADS[head]
+    if width is not None:
+        key = "%0*d" % (width, key)
+    if sig is not None:
+        return "%s:%s,sig:%s,hash:%s" % (head, key, sig, digest)
+    return "%s:%s,hash:%s" % (head, key, digest)
+
+
+def parse_sealed_name(name, head):
+    """``(key, sig_or_None, digest)`` from a sealed name under ``head``, or None.
+
+    Strict: the fields are exactly ``head``, ``sig`` (crash artifacts
+    only) and ``hash`` in that order, none empty; an integer key is
+    decimal digits.  No sealed name holds a dot, so sidecars
+    (``.report.txt``) and temp files (``.tmp.<pid>``) never parse.
+    """
+    fields = name.split(",")
+    if "." in name or len(fields) not in (2, 3):
+        return None
+    if len(fields) == 3 and head != _SIGNED_HEAD:
+        return None
+    labels = (head, "hash") if len(fields) == 2 else (head, "sig", "hash")
+    values = []
+    for field, label in zip(fields, labels):
+        found, _colon, value = field.partition(":")
+        if found != label or not value:
+            return None
+        values.append(value)
+    key = values[0]
+    if SEALED_HEADS[head] is not None:
+        if not (key.isascii() and key.isdigit()):
+            return None
+        key = int(key)
+    return key, values[1] if len(values) == 3 else None, values[-1]
+
+
+def write_sealed(directory, head, key, body, sig=None, digest=None, fsync=True):
+    """Atomically write ``body`` under its sealed name; returns the path.
+
+    ``digest`` spares a second hash when the caller already has one.  No
+    directory fsync here: store artifacts do without one per commit.
+    """
+    if digest is None:
+        digest = content_hash(body)
+    path = os.path.join(directory, sealed_name(head, key, digest, sig))
+    return atomic_write_bytes(path, body, fsync=fsync)
+
+
+def write_sealed_json(directory, head, key, obj, fsync=True):
+    """Seal ``obj`` as compact sorted JSON; with ``fsync``, fsync the directory."""
+    body = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path = write_sealed(directory, head, key, body, fsync=fsync)
+    if fsync:
+        _fsync_dir(directory)
+    return path
+
+
+def read_sealed(path, digest):
+    """``(body, None)`` if ``path`` holds bytes hashing to ``digest``.
+
+    Otherwise ``(None, reason)``: unreadable, empty (a torn write), or
+    :data:`HASH_MISMATCH`.  Never raises.
+    """
+    try:
+        with open(path, "rb") as handle:
+            body = handle.read()
+    except OSError as exc:
+        return None, "unreadable: %s" % exc
+    if not body:
+        return None, EMPTY_FILE
+    if content_hash(body) != digest:
+        return None, HASH_MISMATCH
+    return body, None
+
+
+def read_sealed_json(path, digest):
+    """:func:`read_sealed` of a JSON object: ``(dict, None)`` or ``(None, reason)``."""
+    body, reason = read_sealed(path, digest)
+    if body is None:
+        return None, reason
+    try:
+        data = json.loads(body.decode("utf-8"))
+    except ValueError:
+        data = None
+    if not isinstance(data, dict):
+        return None, "malformed JSON"
+    return data, None
+
+
+def quarantine(path, qdir, reason):
+    """Move one damaged file into ``qdir``; True if it moved (never raises).
+
+    A name already taken in ``qdir`` gets a numeric suffix, so nothing
+    quarantined is ever overwritten.
+    """
+    base = os.path.basename(path)
+    target = os.path.join(qdir, base)
+    bump = 0
+    while os.path.exists(target):
+        bump += 1
+        target = os.path.join(qdir, "%s.%d" % (base, bump))
+    try:
+        os.makedirs(qdir, exist_ok=True)
+        os.replace(path, target)
+    except OSError as exc:
+        logger.warning("%s: could not quarantine (%s); ignoring", path, exc)
+        return False
+    logger.warning("%s: quarantined (%s)", path, reason)
+    return True
+
+
+def list_sealed(directory, head):
+    """``(key, sig, digest, name)`` of each ``head`` file in ``directory``.
+
+    In key order; anything that does not parse (another head, a sidecar, a
+    temp file) is skipped, and a missing directory lists as empty.
+    """
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    found = []
+    for name in names:
+        parsed = parse_sealed_name(name, head)
+        if parsed is not None:
+            found.append(parsed + (name,))
+    found.sort(key=lambda entry: (entry[0], entry[3]))
+    return found
+
+
+def walk_artifacts(root, kind, workers=None):
+    """Yield ``(path, seq, sig, digest)`` for each ``root/<worker>/<kind>/`` artifact.
+
+    Workers go in sorted order (or the order of ``workers``), artifacts in
+    id order; sidecars and temp files are skipped.  Nothing is verified.
+    """
+    if workers is None:
+        try:
+            workers = sorted(os.listdir(root))
+        except OSError:
+            return
+    for worker in workers:
+        directory = os.path.join(root, worker, kind)
+        for seq, sig, digest, name in list_sealed(directory, _SIGNED_HEAD):
+            yield os.path.join(directory, name), seq, sig, digest
 
 
 def _pid_alive(pid):
@@ -463,32 +627,6 @@ def release_pidfile_lock(directory, epoch=None, force=False):
         pass
 
 
-def artifact_name(seq, digest, sig=None):
-    """AFL-style artifact file name; the embedded hash makes it verifiable."""
-    if sig is not None:
-        return "id:%0*d,sig:%s,hash:%s" % (_ID_WIDTH, seq, sig, digest)
-    return "id:%0*d,hash:%s" % (_ID_WIDTH, seq, digest)
-
-
-def parse_artifact_name(name):
-    """``(seq, sig_or_None, hash)`` from an artifact name, or None."""
-    fields = {}
-    order = []
-    for part in name.split(","):
-        key, colon, value = part.partition(":")
-        if not colon:
-            return None
-        fields[key] = value
-        order.append(key)
-    if order[:1] != ["id"] or "hash" not in fields:
-        return None
-    try:
-        seq = int(fields["id"])
-    except ValueError:
-        return None
-    return seq, fields.get("sig"), fields["hash"]
-
-
 class ScanReport:
     """Outcome of one tolerant directory scan."""
 
@@ -543,6 +681,7 @@ class CampaignStore:
         self.root = os.path.abspath(root)
         self.worker = worker
         self.worker_dir = os.path.join(self.root, worker)
+        self.quarantine_dir = os.path.join(self.worker_dir, QUARANTINE_DIR)
         self.worker_index = int(worker_index)
         self.incarnation = int(incarnation)
         self.fsync = fsync
@@ -644,7 +783,8 @@ class CampaignStore:
             except (OSError, ValueError):
                 # A torn manifest is quarantined like any other torn file;
                 # identity is then re-seeded from ``meta``.
-                self._quarantine(path, "unreadable manifest")
+                if quarantine(path, self.quarantine_dir, "unreadable manifest"):
+                    self.quarantine_count += 1
                 existing = None
         if existing is not None:
             if int(existing.get("version", -1)) != MANIFEST_VERSION:
@@ -718,8 +858,9 @@ class CampaignStore:
             return None
         seq = self._seq[kind]
         self._seq[kind] = seq + 1
-        path = os.path.join(self._dir(kind), artifact_name(seq, digest, sig))
-        atomic_write_bytes(path, bytes(data), fsync=self.fsync)
+        path = write_sealed(
+            self._dir(kind), "id", seq, bytes(data), sig, digest, self.fsync
+        )
         self._seen[(kind, digest)] = path
         self._write_no += 1
         self._fire_store_fault(path)
@@ -789,38 +930,10 @@ class CampaignStore:
         """
         for kind in (QUEUE_DIR, CRASH_DIR, HANG_DIR):
             top = 0
-            try:
-                names = os.listdir(self._dir(kind))
-            except OSError:
-                names = []
-            for name in names:
-                parsed = parse_artifact_name(name.split(".")[0])
-                if parsed is None:
-                    continue
-                seq, _, digest = parsed
-                if "." in name:
-                    continue  # sidecar (.report.txt / .triage.json / .tmp)
+            for seq, _sig, digest, name in list_sealed(self._dir(kind), "id"):
                 top = max(top, seq + 1)
                 self._seen[(kind, digest)] = os.path.join(self._dir(kind), name)
             self._seq[kind] = max(self._seq[kind], top)
-
-    def _quarantine(self, path, reason):
-        """Move one damaged file into ``quarantine/`` (never raises)."""
-        qdir = os.path.join(self.worker_dir, QUARANTINE_DIR)
-        base = os.path.basename(path)
-        target = os.path.join(qdir, base)
-        bump = 0
-        while os.path.exists(target):
-            bump += 1
-            target = os.path.join(qdir, "%s.%d" % (base, bump))
-        try:
-            os.makedirs(qdir, exist_ok=True)
-            os.replace(path, target)
-        except OSError as exc:
-            logger.warning("%s: could not quarantine (%s); ignoring", path, exc)
-            return
-        self.quarantine_count += 1
-        logger.warning("%s: quarantined (%s)", path, reason)
 
     def scan(self, kind=QUEUE_DIR):
         """Verify one artifact directory, quarantining everything damaged.
@@ -841,34 +954,24 @@ class CampaignStore:
             path = os.path.join(directory, name)
             if not os.path.isfile(path):
                 continue
-            if ".tmp." in name or name.endswith(".tmp"):
-                self._quarantine(path, "leftover temp file (torn write)")
-                report.quarantined.append((path, "torn-write"))
-                continue
             if name.endswith(".report.txt") or name.endswith(".triage.json"):
                 continue  # crash sidecars; verified with their artifact
-            parsed = parse_artifact_name(name)
-            if parsed is None:
-                self._quarantine(path, "unparseable artifact name")
-                report.quarantined.append((path, "bad-name"))
+            parsed = parse_sealed_name(name, "id")
+            if ".tmp." in name or name.endswith(".tmp"):
+                data, code = None, "torn-write"
+                reason = "leftover temp file (torn write)"
+            elif parsed is None:
+                data, code = None, "bad-name"
+                reason = "unparseable artifact name"
+            else:
+                data, reason = read_sealed(path, parsed[2])
+                code = _SCAN_CODES.get(reason, "unreadable")
+            if data is None:
+                if quarantine(path, self.quarantine_dir, reason):
+                    self.quarantine_count += 1
+                report.quarantined.append((path, code))
                 continue
-            seq, sig, digest = parsed
-            try:
-                with open(path, "rb") as handle:
-                    data = handle.read()
-            except OSError as exc:
-                self._quarantine(path, "unreadable (%s)" % exc)
-                report.quarantined.append((path, "unreadable"))
-                continue
-            if not data:
-                self._quarantine(path, "empty file (torn write)")
-                report.quarantined.append((path, "empty"))
-                continue
-            if content_hash(data) != digest:
-                self._quarantine(path, "content hash mismatch (corrupt)")
-                report.quarantined.append((path, "bad-hash"))
-                continue
-            report.survivors.append((seq, sig, digest, data))
+            report.survivors.append(parsed + (data,))
         report.survivors.sort(key=lambda item: item[0])
         self._publish_scan(report)
         return report
@@ -955,29 +1058,13 @@ class CampaignStore:
         ``(digest, data)`` in (worker, id) order — deterministic for a fixed
         worker set.
         """
-        for sibling in self.sibling_workers():
-            directory = os.path.join(self.root, sibling, QUEUE_DIR)
-            try:
-                names = sorted(os.listdir(directory))
-            except OSError:
+        for path, _seq, _sig, digest in walk_artifacts(
+            self.root, QUEUE_DIR, self.sibling_workers()
+        ):
+            if digest in seen_hashes:
                 continue
-            entries = []
-            for name in names:
-                parsed = parse_artifact_name(name)
-                if parsed is None:
-                    continue
-                seq, _sig, digest = parsed
-                if digest in seen_hashes:
-                    continue
-                entries.append((seq, digest, os.path.join(directory, name)))
-            for seq, digest, path in sorted(entries):
-                try:
-                    with open(path, "rb") as handle:
-                        data = handle.read()
-                except OSError:
-                    continue
-                if not data or content_hash(data) != digest:
-                    continue  # torn or corrupt foreign file: owner's problem
+            data, _reason = read_sealed(path, digest)
+            if data is not None:  # a damaged foreign file is its owner's problem
                 yield digest, data
 
     # -- engine bookkeeping ----------------------------------------------------
@@ -1016,22 +1103,7 @@ def campaign_queue_hashes(root):
     artifacts are content-addressed, so the union of embedded hashes *is*
     the deduplicated campaign corpus.
     """
-    hashes = set()
-    try:
-        workers = os.listdir(root)
-    except OSError:
-        return hashes
-    for worker in workers:
-        directory = os.path.join(root, worker, QUEUE_DIR)
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            continue
-        for name in names:
-            parsed = parse_artifact_name(name)
-            if parsed is not None:
-                hashes.add(parsed[2])
-    return hashes
+    return {digest for _path, _seq, _sig, digest in walk_artifacts(root, QUEUE_DIR)}
 
 
 def attach_store(engine, store):

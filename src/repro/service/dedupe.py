@@ -17,30 +17,17 @@ resilience job asserts exactly that.
 
 import os
 
-from repro.fuzzer.store import CRASH_DIR, parse_artifact_name
+from repro.fuzzer.store import CRASH_DIR, walk_artifacts
 
 
 def _job_crash_sigs(jobs_root, job_id):
     """Signatures of every crash artifact under one job's store slices."""
-    sigs = []
     store_root = os.path.join(jobs_root, job_id, "store")
-    try:
-        workers = sorted(os.listdir(store_root))
-    except OSError:
-        return sigs
-    for worker in workers:
-        crash_dir = os.path.join(store_root, worker, CRASH_DIR)
-        try:
-            names = sorted(os.listdir(crash_dir))
-        except OSError:
-            continue
-        for name in names:
-            if name.endswith(".report.txt") or name.endswith(".triage.json"):
-                continue
-            parsed = parse_artifact_name(name)
-            if parsed is not None and parsed[1] is not None:
-                sigs.append(parsed[1])
-    return sigs
+    return [
+        sig
+        for _path, _seq, sig, _digest in walk_artifacts(store_root, CRASH_DIR)
+        if sig is not None
+    ]
 
 
 class CrashDedupe:

@@ -3,9 +3,9 @@
 A stopped service root accepts submissions directly — ``repro job
 submit`` takes the root lock and journals the ``submit`` record itself.
 Against a *live* root that path is closed (the daemon owns the lock), so
-live submissions travel as **request files** instead: self-verifying,
-atomically-written ``journal/req:<nonce>,hash:<sha1>`` files that need
-no lock at all.  The daemon's journal-tail watcher picks them up,
+live submissions travel as **request files** instead: sealed
+``journal/req:<nonce>,hash:<sha1>`` files (DESIGN.md §8) that need no
+lock at all.  The daemon's journal-tail watcher picks them up,
 re-checks admission (quotas, overload breaker — the client's view may be
 stale), and settles each request exactly once by journaling a real
 ``submit`` / ``cancel`` (with ``payload["request"] = nonce``), a
@@ -26,36 +26,15 @@ authority until the daemon converts them.
 """
 
 import binascii
-import hashlib
-import json
 import os
 
-from repro.fuzzer.store import atomic_write_bytes, _fsync_dir
+from repro.fuzzer.store import list_sealed, read_sealed_json, write_sealed_json
 from repro.service.journal import JOURNAL_DIR
 
 REQUEST_VERSION = 1
 
 #: Request kinds a daemon understands.
 REQUEST_KINDS = ("submit-request", "cancel-request", "drain-request")
-
-
-def request_name(nonce, digest):
-    return "req:%s,hash:%s" % (nonce, digest)
-
-
-def parse_request_name(name):
-    """``(nonce, hash)`` from a request file name, or None."""
-    fields = {}
-    order = []
-    for part in name.split(","):
-        key, colon, value = part.partition(":")
-        if not colon:
-            return None
-        fields[key] = value
-        order.append(key)
-    if order != ["req", "hash"]:
-        return None
-    return fields["req"], fields["hash"]
 
 
 def new_nonce():
@@ -67,30 +46,21 @@ def write_request(root, kind, payload=None, fsync=True):
     """Atomically drop one request file for the daemon; returns its nonce.
 
     Safe against any number of concurrent writers and against the daemon
-    reading mid-drop: the tmp+rename discipline means the file is either
-    absent or complete, and the embedded hash proves completeness.
+    reading mid-drop: a sealed file is either absent or complete, and
+    its name's hash proves completeness.
     """
     if kind not in REQUEST_KINDS:
         raise ValueError("unknown request kind %r" % (kind,))
     journal_dir = os.path.join(os.path.abspath(root), JOURNAL_DIR)
     os.makedirs(journal_dir, exist_ok=True)
     nonce = new_nonce()
-    body = json.dumps(
-        {
-            "version": REQUEST_VERSION,
-            "nonce": nonce,
-            "kind": kind,
-            "payload": payload or {},
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    digest = hashlib.sha1(body).hexdigest()
-    atomic_write_bytes(
-        os.path.join(journal_dir, request_name(nonce, digest)), body, fsync=fsync
-    )
-    if fsync:
-        _fsync_dir(journal_dir)
+    request = {
+        "version": REQUEST_VERSION,
+        "nonce": nonce,
+        "kind": kind,
+        "payload": payload or {},
+    }
+    write_sealed_json(journal_dir, "req", nonce, request, fsync=fsync)
     return nonce
 
 
@@ -105,34 +75,13 @@ def scan_requests(root):
     journal_dir = os.path.join(os.path.abspath(root), JOURNAL_DIR)
     requests = []
     damaged = []
-    try:
-        names = os.listdir(journal_dir)
-    except OSError:
-        names = []
-    for name in sorted(names):
-        parsed = parse_request_name(name)
-        if parsed is None:
-            continue
-        nonce, digest = parsed
+    for nonce, _sig, digest, name in list_sealed(journal_dir, "req"):
         path = os.path.join(journal_dir, name)
-        if not os.path.isfile(path) or ".tmp." in name:
-            continue
-        try:
-            with open(path, "rb") as handle:
-                body = handle.read()
-        except OSError as exc:
-            damaged.append((name, "unreadable: %s" % exc))
-            continue
-        if hashlib.sha1(body).hexdigest() != digest:
-            damaged.append((name, "hash mismatch (torn?)"))
-            continue
-        try:
-            data = json.loads(body.decode("utf-8"))
-        except ValueError:
-            damaged.append((name, "malformed JSON"))
-            continue
-        if not isinstance(data, dict) or data.get("nonce") != nonce:
-            damaged.append((name, "nonce mismatch"))
+        data, reason = read_sealed_json(path, digest)
+        if data is not None and data.get("nonce") != nonce:
+            data, reason = None, "nonce mismatch"
+        if data is None:
+            damaged.append((name, reason))
             continue
         requests.append(
             {

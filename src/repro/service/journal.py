@@ -1,11 +1,10 @@
 """Crash-safe job journal: one atomic record per state transition.
 
 The journal is the service's source of truth.  Every record is its own
-file — ``journal/rec:<seq>,hash:<sha1>`` — written with the store's
-tmp+flush+fsync+rename discipline, so a crash at *any* instant leaves
-either a fully-committed record or nothing under the real name (at worst
-a ``*.tmp.<pid>`` straggler the scan ignores).  The embedded content hash
-makes every record self-verifying, exactly like store artifacts.
+sealed file, ``journal/rec:<seq>,hash:<sha1>`` (DESIGN.md §8): written
+atomically through the store's codec, trusted only once its body matches
+its name.  A crash at *any* instant leaves either a fully-committed
+record or nothing under the real name.
 
 Three properties keep the journal safe when the root is *shared* —
 across hosts, and across the daemon/submitter process boundary:
@@ -22,8 +21,8 @@ across hosts, and across the daemon/submitter process boundary:
   :mod:`repro.service.lease`).  ``append`` re-checks the lease right
   before committing, and the recovery scan quarantines any record whose
   fence *regresses* — the signature of a displaced holder's late write.
-- **Compaction.**  Terminal state is folded into self-verifying
-  snapshot files — ``journal/snap:<seq>,hash:<sha1>`` — holding the
+- **Compaction.**  Terminal state is folded into sealed snapshot
+  files — ``journal/snap:<seq>,hash:<sha1>`` — holding the
   entire :class:`repro.service.jobs.FoldState` up to a sequence
   high-water mark.  Recovery loads the newest valid snapshot and folds
   only the records beyond it.  Deletion *lags one snapshot*: compaction
@@ -46,12 +45,16 @@ ladder at every commit point.
 """
 
 import errno
-import hashlib
-import json
 import os
 
 from repro.fuzzer import faultinject
-from repro.fuzzer.store import atomic_write_bytes, _fsync_dir
+from repro.fuzzer.store import (
+    list_sealed,
+    parse_sealed_name,
+    quarantine,
+    read_sealed_json,
+    write_sealed_json,
+)
 from repro.service.jobs import FoldState, fold_state
 
 JOURNAL_VERSION = 1
@@ -61,41 +64,6 @@ QUARANTINE_DIR = "quarantine"
 SEQ_DIR = "seq"
 
 _SEQ_WIDTH = 8
-
-
-def record_name(seq, digest):
-    return "rec:%0*d,hash:%s" % (_SEQ_WIDTH, seq, digest)
-
-
-def snapshot_name(seq, digest):
-    return "snap:%0*d,hash:%s" % (_SEQ_WIDTH, seq, digest)
-
-
-def _parse_name(name, kind):
-    fields = {}
-    order = []
-    for part in name.split(","):
-        key, colon, value = part.partition(":")
-        if not colon:
-            return None
-        fields[key] = value
-        order.append(key)
-    if order != [kind, "hash"]:
-        return None
-    try:
-        return int(fields[kind]), fields["hash"]
-    except ValueError:
-        return None
-
-
-def parse_record_name(name):
-    """``(seq, hash)`` from a journal record file name, or None."""
-    return _parse_name(name, "rec")
-
-
-def parse_snapshot_name(name):
-    """``(upto_seq, hash)`` from a snapshot file name, or None."""
-    return _parse_name(name, "snap")
 
 
 class JournalRecord:
@@ -162,23 +130,15 @@ class JobJournal:
         if self.lease is not None:
             self.lease.check()
         seq = self._claim_seq()
-        body = json.dumps(
-            {
-                "version": JOURNAL_VERSION,
-                "seq": seq,
-                "job": job,
-                "event": event,
-                "payload": payload or {},
-                "fence": self.fence,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        digest = hashlib.sha1(body).hexdigest()
-        path = os.path.join(self.dir, record_name(seq, digest))
-        atomic_write_bytes(path, body, fsync=self.fsync)
-        if self.fsync:
-            _fsync_dir(self.dir)
+        record = {
+            "version": JOURNAL_VERSION,
+            "seq": seq,
+            "job": job,
+            "event": event,
+            "payload": payload or {},
+            "fence": self.fence,
+        }
+        path = write_sealed_json(self.dir, "rec", seq, record, fsync=self.fsync)
         self._commits += 1
         plan = faultinject.active_plan()
         if plan:
@@ -226,17 +186,36 @@ class JobJournal:
                 top = max(top, int(name))
             except ValueError:
                 pass
-        try:
-            names = os.listdir(self.dir)
-        except OSError:
-            names = []
-        for name in names:
-            parsed = parse_record_name(name) or parse_snapshot_name(name)
-            if parsed is not None:
-                top = max(top, parsed[0])
+        for head in ("rec", "snap"):
+            for seq, _sig, _digest, _name in list_sealed(self.dir, head):
+                top = max(top, seq)
         return top + 1
 
     # -- recovery --------------------------------------------------------------
+
+    def read_record(self, name):
+        """``(record, None)`` for a ``rec:`` file that verifies, else ``(None, why)``.
+
+        The one check every reader of a record makes: the recovery scan and
+        the daemon's judge of records it did not write.
+        """
+        parsed = parse_sealed_name(name, "rec")
+        if parsed is None:
+            return None, "unparseable name"
+        seq, _sig, digest = parsed
+        data, reason = read_sealed_json(os.path.join(self.dir, name), digest)
+        if data is None:
+            return None, reason
+        if data.get("seq") != seq:
+            return None, "sequence mismatch"
+        fence = data.get("fence", 0)
+        if not isinstance(fence, int):
+            return None, "fence is not an integer"
+        record = JournalRecord(
+            seq, data.get("job"), data.get("event", "?"),
+            data.get("payload") or {}, fence,
+        )
+        return record, None
 
     def scan(self, quarantine=True):
         """Tolerant recovery scan; returns ``(records, quarantined)``.
@@ -253,77 +232,48 @@ class JobJournal:
         sequence number, so appends continue the surviving sequence.
         """
         by_seq = {}
-        quarantined = []
+        rejected = []
         try:
             names = os.listdir(self.dir)
         except OSError:
             names = []
         for name in sorted(names):
             path = os.path.join(self.dir, name)
+            if not name.startswith("rec:") or ".tmp." in name:
+                continue  # other heads; atomic-write stragglers
             if not os.path.isfile(path):
                 continue
-            if ".tmp." in name:
-                continue  # atomic-write straggler from a crashed writer
-            parsed = parse_record_name(name)
-            if parsed is None:
-                if not name.startswith("rec:"):
-                    continue  # snapshots and foreign files: not ours to judge
-                self._quarantine(path, "unparseable name", quarantined, quarantine)
+            record, reason = self.read_record(name)
+            if record is None:
+                rejected.append((path, reason))
                 continue
-            seq, digest = parsed
-            try:
-                with open(path, "rb") as handle:
-                    body = handle.read()
-            except OSError as exc:
-                self._quarantine(path, "unreadable: %s" % exc, quarantined, quarantine)
-                continue
-            if hashlib.sha1(body).hexdigest() != digest:
-                self._quarantine(path, "hash mismatch (torn?)", quarantined, quarantine)
-                continue
-            try:
-                data = json.loads(body.decode("utf-8"))
-            except ValueError:
-                self._quarantine(path, "malformed JSON", quarantined, quarantine)
-                continue
-            if not isinstance(data, dict) or int(data.get("seq", -1)) != seq:
-                self._quarantine(path, "sequence mismatch", quarantined, quarantine)
-                continue
-            record = JournalRecord(
-                seq,
-                data.get("job"),
-                data.get("event", "?"),
-                data.get("payload") or {},
-                data.get("fence", 0),
-            )
-            rival = by_seq.get(seq)
+            rival = by_seq.get(record.seq)
             if rival is None:
-                by_seq[seq] = (record, digest, path)
+                by_seq[record.seq] = (record, path)
                 continue
             # Two verified records under one seq: a pre-claim-protocol
             # root, or a displaced holder that outraced the claim.  The
-            # higher fence is the live owner's; ties break on digest so
-            # every scanner resolves identically.
-            if (record.fence, digest) > (rival[0].fence, rival[1]):
-                by_seq[seq] = (record, digest, path)
-                loser = rival[2]
+            # higher fence is the live owner's; ties break on the name
+            # (that is, the digest) so every scanner resolves identically.
+            if (record.fence, path) > (rival[0].fence, rival[1]):
+                by_seq[record.seq] = (record, path)
+                loser = rival[1]
             else:
                 loser = path
-            self._quarantine(loser, "duplicate sequence", quarantined, quarantine)
+            rejected.append((loser, "duplicate sequence"))
         records = []
         max_fence = 0
         for seq in sorted(by_seq):
-            record, digest, path = by_seq[seq]
+            record, path = by_seq[seq]
             if record.fence < max_fence:
-                self._quarantine(
-                    path,
-                    "fenced late write (fence %d after %d)"
-                    % (record.fence, max_fence),
-                    quarantined,
-                    quarantine,
+                rejected.append(
+                    (path, "fenced late write (fence %d after %d)"
+                     % (record.fence, max_fence))
                 )
                 continue
             max_fence = record.fence
             records.append(record)
+        quarantined = self._settle(rejected, quarantine)
         self._next_seq = self._adopted_seq()
         return records, quarantined
 
@@ -347,49 +297,25 @@ class JobJournal:
         self._next_seq = max(self._next_seq or 0, state.upto + 1)
         return state, quarantined
 
-    def _snapshots(self):
-        """``(upto, name)`` of every snapshot on disk, newest first."""
-        found = []
-        try:
-            names = os.listdir(self.dir)
-        except OSError:
-            names = []
-        for name in names:
-            parsed = parse_snapshot_name(name)
-            if parsed is not None:
-                found.append((parsed[0], name))
-        found.sort(reverse=True)
-        return found
-
     def _load_snapshot(self, quarantine=True):
         """Newest snapshot that verifies, falling back across torn ones."""
-        quarantined = []
-        for upto, name in self._snapshots():
+        rejected = []
+        state = None
+        for upto, _sig, digest, name in reversed(list_sealed(self.dir, "snap")):
             path = os.path.join(self.dir, name)
-            digest = parse_snapshot_name(name)[1]
-            try:
-                with open(path, "rb") as handle:
-                    body = handle.read()
-            except OSError as exc:
-                self._quarantine(path, "unreadable: %s" % exc, quarantined, quarantine)
-                continue
-            if hashlib.sha1(body).hexdigest() != digest:
-                self._quarantine(
-                    path, "snapshot hash mismatch (torn?)", quarantined, quarantine
-                )
+            data, reason = read_sealed_json(path, digest)
+            if data is None:
+                rejected.append((path, "snapshot " + reason))
                 continue
             try:
-                data = json.loads(body.decode("utf-8"))
                 state = FoldState.from_dict(data["state"])
             except (ValueError, KeyError, TypeError):
-                self._quarantine(
-                    path, "malformed snapshot", quarantined, quarantine
-                )
+                rejected.append((path, "malformed snapshot"))
                 continue
             if state.upto < 0:
                 state.upto = upto
-            return state, quarantined
-        return None, quarantined
+            break
+        return state, self._settle(rejected, quarantine)
 
     def compact(self):
         """Fold history into a snapshot; delete what the *previous* one covers.
@@ -406,25 +332,19 @@ class JobJournal:
         state, _ = self.recover(quarantine=True)
         if state.upto < 0:
             return None
-        body = json.dumps(
-            {
-                "version": SNAPSHOT_VERSION,
-                "upto": state.upto,
-                "state": state.to_dict(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        digest = hashlib.sha1(body).hexdigest()
-        path = os.path.join(self.dir, snapshot_name(state.upto, digest))
-        atomic_write_bytes(path, body, fsync=self.fsync)
-        if self.fsync:
-            _fsync_dir(self.dir)
+        snapshot = {
+            "version": SNAPSHOT_VERSION,
+            "upto": state.upto,
+            "state": state.to_dict(),
+        }
+        path = write_sealed_json(
+            self.dir, "snap", state.upto, snapshot, fsync=self.fsync
+        )
         self.append(
             None, "compact", {"upto": state.upto, "snapshot": os.path.basename(path)}
         )
-        snapshots = self._snapshots()
-        for upto, name in snapshots[2:]:
+        snapshots = list_sealed(self.dir, "snap")[::-1]  # newest first
+        for _upto, _sig, _digest, name in snapshots[2:]:
             try:
                 os.unlink(os.path.join(self.dir, name))
             except OSError:
@@ -436,13 +356,8 @@ class JobJournal:
 
     def _prune(self, covered):
         """Delete records and seq claims at or below ``covered`` (idempotent)."""
-        try:
-            names = os.listdir(self.dir)
-        except OSError:
-            names = []
-        for name in names:
-            parsed = parse_record_name(name)
-            if parsed is not None and parsed[0] <= covered:
+        for seq, _sig, _digest, name in list_sealed(self.dir, "rec"):
+            if seq <= covered:
                 try:
                     os.unlink(os.path.join(self.dir, name))
                 except OSError:
@@ -462,13 +377,9 @@ class JobJournal:
                 except OSError:
                     pass
 
-    def _quarantine(self, path, reason, quarantined, move):
-        name = os.path.basename(path)
-        quarantined.append((name, reason))
-        if not move:
-            return
-        target = os.path.join(self.quarantine_dir, name)
-        try:
-            os.replace(path, target)
-        except OSError:
-            pass
+    def _settle(self, rejected, move):
+        """Quarantine each ``(path, reason)`` when ``move``; name them all."""
+        if move:
+            for path, reason in rejected:
+                quarantine(path, self.quarantine_dir, reason)
+        return [(os.path.basename(path), reason) for path, reason in rejected]

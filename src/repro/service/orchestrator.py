@@ -42,10 +42,12 @@ from repro.fuzzer.store import (
     CRASH_DIR,
     StoreLockError,
     acquire_pidfile_lock,
+    list_sealed,
     lock_host,
-    parse_artifact_name,
+    quarantine,
     read_lock_record,
     release_pidfile_lock,
+    walk_artifacts,
     _pid_alive,
 )
 from repro.fuzzer.supervisor import (
@@ -71,7 +73,7 @@ from repro.service.jobs import (
     WallBudgetError,
     apply_event,
 )
-from repro.service.journal import JobJournal, parse_record_name
+from repro.service.journal import JobJournal
 from repro.service.lease import LeaseLostError, ServiceLease, read_fence
 from repro.service.worker import STORE_DIR, job_worker_main
 from repro.telemetry.bus import ServiceEvent, WorkerDroppedEvent, get_bus
@@ -117,30 +119,16 @@ def list_job_crashes(jobs_root, job_id):
     """
     crashes = []
     store_root = os.path.join(jobs_root, job_id, STORE_DIR)
-    try:
-        workers = sorted(os.listdir(store_root))
-    except OSError:
-        workers = []
-    for worker in workers:
-        crash_dir = os.path.join(store_root, worker, CRASH_DIR)
-        try:
-            names = sorted(os.listdir(crash_dir))
-        except OSError:
+    for path, _seq, sig, _digest in walk_artifacts(store_root, CRASH_DIR):
+        if sig is None:
             continue
-        for name in names:
-            if name.endswith(".report.txt") or name.endswith(".triage.json"):
-                continue
-            parsed = parse_artifact_name(name)
-            if parsed is None or parsed[1] is None:
-                continue
-            path = os.path.join(crash_dir, name)
-            triage = None
-            try:
-                with open(path + ".triage.json", encoding="utf-8") as handle:
-                    triage = json.load(handle)
-            except (OSError, ValueError):
-                pass
-            crashes.append({"sig": parsed[1], "path": path, "triage": triage})
+        triage = None
+        try:
+            with open(path + ".triage.json", encoding="utf-8") as handle:
+                triage = json.load(handle)
+        except (OSError, ValueError):
+            pass
+        crashes.append({"sig": sig, "path": path, "triage": triage})
     return crashes
 
 
@@ -384,16 +372,7 @@ class CampaignService:
 
     def _disk_seqs(self):
         """Every record seq currently on disk (post-quarantine = all folded)."""
-        seqs = set()
-        try:
-            names = os.listdir(self.journal.dir)
-        except OSError:
-            names = []
-        for name in names:
-            parsed = parse_record_name(name)
-            if parsed is not None:
-                seqs.add(parsed[0])
-        return seqs
+        return {seq for seq, *_ in list_sealed(self.journal.dir, "rec")}
 
     def _reap_orphan(self, record):
         """SIGKILL a worker process that outlived the previous service.
@@ -655,54 +634,43 @@ class CampaignService:
         """
         requests, damaged = intake.scan_requests(self.root)
         for name, reason in damaged:
-            self.journal._quarantine(
-                os.path.join(self.journal.dir, name), reason, [], True
+            quarantine(
+                os.path.join(self.journal.dir, name),
+                self.journal.quarantine_dir,
+                reason,
             )
         for request in requests:
             self._handle_request(request)
-        for name in self._foreign_records():
-            self._judge_foreign_record(name)
+        for seq, _sig, _digest, name in list_sealed(self.journal.dir, "rec"):
+            if seq not in self._seen_seqs:
+                self._judge_foreign_record(seq, name)
 
-    def _foreign_records(self):
-        try:
-            names = os.listdir(self.journal.dir)
-        except OSError:
-            return []
-        foreign = []
-        for name in names:
-            parsed = parse_record_name(name)
-            if parsed is not None and parsed[0] not in self._seen_seqs:
-                foreign.append(name)
-        return sorted(foreign)
-
-    def _judge_foreign_record(self, name):
+    def _judge_foreign_record(self, seq, name):
         path = os.path.join(self.journal.dir, name)
-        try:
-            with open(path, "rb") as handle:
-                body = handle.read()
-        except OSError:
+        record, reason = self.journal.read_record(name)
+        if record is None:
+            # Unverified bytes carry no authority, least of all a fence:
+            # the file is quarantined as the recovery scan would.
+            self._seen_seqs.add(seq)
+            quarantine(path, self.journal.quarantine_dir, reason)
             return
-        try:
-            fence = int(json.loads(body.decode("utf-8")).get("fence", 0))
-        except (ValueError, AttributeError):
-            fence = 0
-        if fence > self.lease.epoch:
+        if record.fence > self.lease.epoch:
             # A successor is already journaling: we are the late writer.
             self.lease.held = False
             raise LeaseLostError(self.root, self.lease.owner())
-        seq = parse_record_name(name)[0]
         self._seen_seqs.add(seq)
-        self.journal._quarantine(
+        quarantine(
             path,
-            "fenced late write (fence %d, current %d)" % (fence, self.lease.epoch),
-            [],
-            True,
+            self.journal.quarantine_dir,
+            "fenced late write (fence %d, current %d)"
+            % (record.fence, self.lease.epoch),
         )
         self.bus.publish(
             ServiceEvent(
                 "fenced",
-                detail="quarantined late record %s (fence %d)" % (name, fence),
-                data={"fence": fence, "record": name},
+                detail="quarantined late record %s (fence %d)"
+                % (name, record.fence),
+                data={"fence": record.fence, "record": name},
             )
         )
 

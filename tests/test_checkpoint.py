@@ -92,7 +92,8 @@ def test_checkpoint_round_trip(tmp_path):
     state, meta = read_checkpoint(path)
     assert state == {"x": [1, 2, 3]}
     assert meta == {"round": 7}
-    assert not os.path.exists(path + ".tmp")  # atomic write left no debris
+    # The atomic write left no temp file of any name behind.
+    assert [n for n in os.listdir(str(tmp_path)) if ".tmp" in n] == []
 
 
 def test_checkpoint_bad_magic_is_corrupt(tmp_path):

@@ -165,10 +165,10 @@ def test_cmin_minimizes_store_queue(tmp_path, capsys, monkeypatch):
     kept = os.listdir(minimized)
     assert 0 < len(kept) <= len(os.listdir(queue_dir))
     # minimized artifacts keep the self-verifying naming scheme
-    from repro.fuzzer.store import content_hash, parse_artifact_name
+    from repro.fuzzer.store import content_hash, parse_sealed_name
 
     for name in kept:
-        seq, _sig, digest = parse_artifact_name(name)
+        seq, _sig, digest = parse_sealed_name(name, "id")
         with open(os.path.join(minimized, name), "rb") as handle:
             assert content_hash(handle.read()) == digest
 

@@ -22,14 +22,9 @@ import hashlib
 import json
 import os
 
+from repro.fuzzer.store import parse_sealed_name, sealed_name
 from repro.service.jobs import fold_state
-from repro.service.journal import (
-    JobJournal,
-    JournalRecord,
-    parse_record_name,
-    parse_snapshot_name,
-    record_name,
-)
+from repro.service.journal import JobJournal, JournalRecord
 
 SPEC = {
     "subject": "gdk",
@@ -63,7 +58,7 @@ class History:
 
     def sync(self):
         for name in os.listdir(self.journal.dir):
-            parsed = parse_record_name(name)
+            parsed = parse_sealed_name(name, "rec")
             if parsed is None or parsed[0] in self.records:
                 continue
             with open(os.path.join(self.journal.dir, name), "rb") as handle:
@@ -97,7 +92,7 @@ def _job_lifecycle(history, index, fate="done"):
 def _disk_record_seqs(journal):
     seqs = set()
     for name in os.listdir(journal.dir):
-        parsed = parse_record_name(name)
+        parsed = parse_sealed_name(name, "rec")
         if parsed is not None:
             seqs.add(parsed[0])
     return seqs
@@ -106,7 +101,7 @@ def _disk_record_seqs(journal):
 def _snapshots_on_disk(journal):
     return sorted(
         name for name in os.listdir(journal.dir)
-        if parse_snapshot_name(name) is not None
+        if parse_sealed_name(name, "snap") is not None
     )
 
 
@@ -216,7 +211,7 @@ def test_duplicate_seq_resolves_to_the_highest_fence(tmp_path):
             sort_keys=True, separators=(",", ":"),
         ).encode("utf-8")
         digest = hashlib.sha1(body).hexdigest()
-        with open(os.path.join(journal.dir, record_name(seq, digest)),
+        with open(os.path.join(journal.dir, sealed_name("rec", seq, digest)),
                   "wb") as handle:
             handle.write(body)
 

@@ -14,6 +14,9 @@ matches a cold disk rebuild.
 """
 
 import asyncio
+import hashlib
+import json
+import logging
 import os
 import re
 import subprocess
@@ -22,6 +25,7 @@ import sys
 import pytest
 
 from repro.fuzzer import faultinject
+from repro.fuzzer.store import sealed_name
 from repro.fuzzer.supervisor import RestartPolicy
 from repro.service import CampaignService, CrashDedupe
 from repro.service.jobs import CANCELLED, SUCCEEDED
@@ -29,6 +33,7 @@ from repro.service.journal import JobJournal
 from repro.service.lease import LeaseLostError, read_fence
 from repro.service import intake
 from repro.service.orchestrator import load_service_state
+from repro.telemetry.bus import TelemetryBus
 
 pytestmark = pytest.mark.faultinject
 
@@ -179,6 +184,56 @@ def test_a_successors_record_tells_the_holder_it_was_fenced(
         service.close()
 
 
+def _forge_foreign_record(journal_dir, fence, digest=None):
+    """Drop a ``rec:`` file at seq 90 whose body claims ``fence``.
+
+    ``digest=None`` names it by its real hash; any other digest makes the
+    name disagree with the body, the shape of a torn or rotted file.
+    """
+    body = json.dumps(
+        {"version": 1, "seq": 90, "job": None, "event": "epoch",
+         "payload": {}, "fence": fence},
+        sort_keys=True, separators=(",", ":"),
+    ).encode("utf-8")
+    name = "rec:%08d,hash:%s" % (90, digest or hashlib.sha1(body).hexdigest())
+    with open(os.path.join(journal_dir, name), "wb") as handle:
+        handle.write(body)
+    return name
+
+
+@pytest.mark.parametrize(
+    "fence, digest, reason",
+    [
+        (9, "0" * 40, "hash mismatch (torn?)"),
+        (None, None, "fence is not an integer"),
+    ],
+    ids=["torn-high-fence", "null-fence"],
+)
+def test_an_unverified_foreign_record_is_quarantined_not_obeyed(
+    tmp_path, monkeypatch, caplog, fence, digest, reason
+):
+    root = str(tmp_path)
+    monkeypatch.setenv("REPRO_HOST", "hostA")
+    bus = TelemetryBus()
+    service = CampaignService(root, fsync=False, lease_ttl=30.0, bus=bus)
+    try:
+        service.submit("gdk", budget_ticks=BUDGET)
+        name = _forge_foreign_record(service.journal.dir, fence, digest)
+        with caplog.at_level(logging.WARNING):
+            service._pump_intake()  # neither LeaseLostError nor TypeError
+        assert os.listdir(service.journal.quarantine_dir) == [name]
+        assert "quarantined (%s)" % reason in caplog.text
+        assert not [
+            event for event in bus.recent("service")
+            if event.action == "fenced"
+        ]
+        # The daemon keeps its root and keeps serving.
+        assert service.lease.held
+        assert service.submit("mp3gain", budget_ticks=BUDGET) == "j000001"
+    finally:
+        service.close()
+
+
 # -- live daemon intake --------------------------------------------------------
 
 
@@ -269,7 +324,7 @@ def test_replayed_request_file_is_not_settled_twice(tmp_path):
         ).encode("utf-8")
         digest = _hashlib.sha1(body).hexdigest()
         with open(
-            os.path.join(path, intake.request_name(nonce, digest)), "wb"
+            os.path.join(path, sealed_name("req", nonce, digest)), "wb"
         ) as handle:
             handle.write(body)
         service._pump_intake()

@@ -27,12 +27,13 @@ from repro.fuzzer.store import (
     CampaignStore,
     StoreLockError,
     StoreMismatchError,
-    artifact_name,
     atomic_write_bytes,
     attach_store,
     campaign_queue_hashes,
     content_hash,
-    parse_artifact_name,
+    parse_sealed_name,
+    quarantine,
+    sealed_name,
     worker_name,
 )
 from repro.lang import compile_source
@@ -65,15 +66,68 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 def test_artifact_name_roundtrip():
     digest = content_hash(b"data")
-    name = artifact_name(7, digest)
-    assert parse_artifact_name(name) == (7, None, digest)
-    signed = artifact_name(3, digest, sig="abcd1234")
-    assert parse_artifact_name(signed) == (3, "abcd1234", digest)
+    name = sealed_name("id", 7, digest)
+    assert parse_sealed_name(name, "id") == (7, None, digest)
+    signed = sealed_name("id", 3, digest, sig="abcd1234")
+    assert parse_sealed_name(signed, "id") == (3, "abcd1234", digest)
 
 
 @pytest.mark.parametrize("name", ["README", "id:x,hash:y", "hash:y,id:000001"])
 def test_parse_artifact_name_rejects_garbage(name):
-    assert parse_artifact_name(name) is None
+    assert parse_sealed_name(name, "id") is None
+
+
+# The sealed-name grammar, once for every head (DESIGN.md §8).
+DIGEST = "ab" * 20
+
+
+@pytest.mark.parametrize(
+    "head, key, sig, name",
+    [
+        ("id", 7, None, "id:000007,hash:" + DIGEST),
+        ("id", 3, "0123456789abcdef", "id:000003,sig:0123456789abcdef,hash:" + DIGEST),
+        ("id", 1234567, None, "id:1234567,hash:" + DIGEST),
+        ("rec", 12, None, "rec:00000012,hash:" + DIGEST),
+        ("snap", 0, None, "snap:00000000,hash:" + DIGEST),
+        ("req", "req-00aa11bb22cc", None, "req:req-00aa11bb22cc,hash:" + DIGEST),
+    ],
+)
+def test_sealed_names_round_trip(head, key, sig, name):
+    assert sealed_name(head, key, DIGEST, sig=sig) == name
+    assert parse_sealed_name(name, head) == (key, sig, DIGEST)
+
+
+@pytest.mark.parametrize(
+    "head, name",
+    [
+        ("rec", "id:00000001,hash:" + DIGEST),  # wrong head
+        ("id", "rec:000001,hash:" + DIGEST),  # wrong head
+        ("id", "id:000001"),  # missing hash
+        ("req", "req:req-1,sig:ab"),  # missing hash
+        ("id", "id:000001,hash:"),  # empty hash
+        ("req", "req:,hash:" + DIGEST),  # empty key
+        ("id", "id:00x001,hash:" + DIGEST),  # non-integer sequence
+        ("rec", "rec:-0000001,hash:" + DIGEST),  # non-integer sequence
+        ("snap", "snap: 0000001,hash:" + DIGEST),  # non-integer sequence
+        ("id", "hash:%s,id:000001" % DIGEST),  # fields out of order
+        ("id", "id:000001,hash:%s,sig:ab" % DIGEST),  # fields out of order
+        ("id", "id:000001,hash:%s,src:000002" % DIGEST),  # extra field
+        ("rec", "rec:00000001,sig:ab,hash:" + DIGEST),  # sig off a crash
+        ("id", "id:000001,hash:%s.triage.json" % DIGEST),  # sidecar
+        ("rec", "rec:00000001,hash:%s.tmp.77" % DIGEST),  # temp file
+    ],
+)
+def test_sealed_names_reject_malformed(head, name):
+    assert parse_sealed_name(name, head) is None
+
+
+def test_quarantine_never_overwrites(tmp_path):
+    qdir = os.path.join(str(tmp_path), "quarantine")
+    for body in (b"first", b"second"):
+        path = os.path.join(str(tmp_path), "rec:00000001,hash:x")
+        atomic_write_bytes(path, body)
+        assert quarantine(path, qdir, "test")
+    assert sorted(os.listdir(qdir)) == ["rec:00000001,hash:x", "rec:00000001,hash:x.1"]
 
 
 # -- locking / manifest --------------------------------------------------------
@@ -387,7 +441,7 @@ def test_commit_dedupes_by_content_and_numbers_sequentially(tmp_path):
     second = store.save_queue_entry(FakeEntry(b"bbb"))
     assert first is not None and second is not None and dup is None
     names = sorted(os.listdir(os.path.join(store.worker_dir, QUEUE_DIR)))
-    assert [parse_artifact_name(n)[0] for n in names] == [0, 1]
+    assert [parse_sealed_name(n, "id")[0] for n in names] == [0, 1]
     store.close()
 
 
@@ -399,7 +453,7 @@ def test_reopen_continues_id_sequence_without_rewrites(tmp_path):
     assert reopened.has_artifacts()
     assert reopened.save_queue_entry(FakeEntry(b"aaa")) is None  # already there
     path = reopened.save_queue_entry(FakeEntry(b"bbb"))
-    assert parse_artifact_name(os.path.basename(path))[0] == 1
+    assert parse_sealed_name(os.path.basename(path), "id")[0] == 1
     reopened.close()
 
 
@@ -460,10 +514,10 @@ def test_scan_quarantines_empty_and_bad_hash_keeps_good(tmp_path):
     store = make_store(tmp_path)
     good = store.save_queue_entry(FakeEntry(b"good"))
     qdir = os.path.join(store.worker_dir, QUEUE_DIR)
-    empty = os.path.join(qdir, artifact_name(1, content_hash(b"gone")))
+    empty = os.path.join(qdir, sealed_name("id", 1, content_hash(b"gone")))
     with open(empty, "wb"):
         pass
-    rotted = os.path.join(qdir, artifact_name(2, content_hash(b"original")))
+    rotted = os.path.join(qdir, sealed_name("id", 2, content_hash(b"original")))
     with open(rotted, "wb") as handle:
         handle.write(b"flipped!")
     misnamed = os.path.join(qdir, "notes.txt")
@@ -485,7 +539,7 @@ def test_scan_quarantines_empty_and_bad_hash_keeps_good(tmp_path):
 def test_scan_skips_crash_sidecars(tmp_path):
     store = make_store(tmp_path)
     cdir = os.path.join(store.worker_dir, CRASH_DIR)
-    name = artifact_name(0, content_hash(b"boom"), sig="cafe")
+    name = sealed_name("id", 0, content_hash(b"boom"), sig="cafe")
     with open(os.path.join(cdir, name), "wb") as handle:
         handle.write(b"boom")
     for suffix in (".report.txt", ".triage.json"):
@@ -582,7 +636,7 @@ def test_crash_sidecars_are_actionable(tmp_path):
     artifacts = [n for n in os.listdir(cdir) if "." not in n]
     assert len(artifacts) == len(result.crash_records)
     for name in artifacts:
-        seq, sig, digest = parse_artifact_name(name)
+        seq, sig, digest = parse_sealed_name(name, "id")
         with open(os.path.join(cdir, name + ".triage.json")) as handle:
             triage = json.load(handle)
         assert triage["stack_hash"] == sig

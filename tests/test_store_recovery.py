@@ -23,7 +23,7 @@ from repro.fuzzer.store import (
     CRASH_DIR,
     CampaignStore,
     campaign_queue_hashes,
-    parse_artifact_name,
+    parse_sealed_name,
     worker_name,
 )
 from repro.fuzzer.supervisor import RestartPolicy
@@ -53,7 +53,7 @@ def _on_disk_state(root, workers=2):
         for name in os.listdir(directory):
             if "." in name:
                 continue  # .report.txt / .triage.json sidecars
-            parsed = parse_artifact_name(name)
+            parsed = parse_sealed_name(name, "id")
             if parsed is None:
                 unparseable.append(name)
             else:
