@@ -1,6 +1,16 @@
 """The MiniC virtual machine.
 
 A tuple-dispatch interpreter over :class:`~repro.cfg.program.ProgramCFG`.
+It runs each function in a *decoded form* (:func:`decode`), built at the
+function's first call and kept for every later execution of the program:
+each block is ``(cost, instrs, term)``, where CONSTs live in constant
+slots of a frame template instead of being dispatched, a MOV is folded
+into the instruction that computed its source when that source is dead
+afterwards, and every BIN operator has its own opcode.  A block is charged
+its IR length plus one (the terminator), whatever the decode dropped, so
+the virtual clock and every other observable are the IR's.
+:class:`repro.runtime.shadow.ShadowExec` runs the same form.
+
 Coverage instrumentation is supplied as *edge action tables* (see
 :mod:`repro.coverage.instrumenter`): when control moves from block ``src`` to
 block ``dst`` the VM executes the small action tuples attached to that edge.
@@ -54,8 +64,11 @@ from repro.cfg.instructions import (
     OP_LNOT,
     OP_NEG,
     STORE,
+    STR,
     UN,
+    instr_def,
 )
+from repro.analysis.dataflow import Liveness, solve
 from repro.lang.builtins_spec import BUILTIN_CODES
 from repro.runtime.memory import Heap
 from repro.runtime import traps
@@ -82,6 +95,20 @@ _U64 = (1 << 64) - 1
 # the dominant cost the paper measures as its 1.26x seed-processing ratio;
 # n-gram and h-path updates carry their rolling-state arithmetic.
 PROBE_COSTS = (1, 1, 9, 9, 4, 3)
+
+# Decoded opcodes: the IR's, except that each BIN operator has its own code,
+# ``BIN_BASE + binop``, with the operator still at ``ins[1]``.
+BIN_BASE = 16
+BIN_ADD = BIN_BASE + OP_ADD
+BIN_LT = BIN_BASE + OP_LT
+BIN_LE = BIN_BASE + OP_LE
+BIN_GT = BIN_BASE + OP_GT
+BIN_GE = BIN_BASE + OP_GE
+BIN_EQ = BIN_BASE + OP_EQ
+BIN_NE = BIN_BASE + OP_NE
+
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
 
 
 class ExecutionResult:
@@ -153,6 +180,131 @@ def execute(
     return vm.run(input_bytes)
 
 
+# -- the decoded form ----------------------------------------------------------
+
+_LIVENESS = Liveness()
+
+# Register operand positions per opcode; CALL and BUILTIN read the tuple at 3.
+_USES_AT = {MOV: (2,), BIN: (3, 4), UN: (3,), LOAD: (2, 3), STORE: (1, 2, 3)}
+
+# A program's decoded functions are shared by every execution of it, keyed
+# like the heap's string-pool cache: on the program's identity, with the
+# stored program guarding against id reuse.
+_FORM_CACHE = {}
+_FORM_CACHE_CAP = 64
+
+
+def _program_forms(program):
+    """The list of ``program``'s decoded functions, None until first called."""
+    cached = _FORM_CACHE.get(id(program))
+    if cached is not None and cached[0] is program:
+        return cached[1]
+    forms = [None] * len(program.funcs)
+    if len(_FORM_CACHE) >= _FORM_CACHE_CAP:
+        _FORM_CACHE.clear()
+    _FORM_CACHE[id(program)] = (program, forms)
+    return forms
+
+
+def decode(func):
+    """The execution form of ``func``: ``(name, template, blocks)``.
+
+    ``blocks[b]`` is ``(cost, instrs, term)`` for IR block ``b``, with
+    ``cost = len(block.instrs) + 1`` however many instructions the decode
+    dropped, so a block is charged what its IR is charged.  A frame is
+    ``template[:]`` with the arguments over its first registers.  The
+    decode changes what is dispatched, never what is observed:
+
+    - ``X t ...; MOV v, t`` with ``t`` dead after the MOV becomes
+      ``X v ...``;
+    - a CONST whose register is redefined later in its block, or is dead
+      out of it, becomes a constant slot: a register past ``func.nregs``
+      that ``template`` holds the constant in and no instruction writes.
+      The CONST's uses read the slot, and the CONST is not dispatched;
+    - BIN takes its operator's opcode (``BIN_BASE + binop``).
+    """
+    live = solve(func, _LIVENESS)
+    template = [0] * func.nregs
+    slots = {}
+    blocks = []
+    for block in func.blocks:
+        live_out = live.exit[block.id]
+        instrs = _forward_moves(block, live_out)
+        instrs, term = _fold_consts(instrs, block.term, live_out, template, slots)
+        decoded = tuple(
+            (BIN_BASE + ins[1],) + ins[1:] if ins[0] == BIN else ins for ins in instrs
+        )
+        blocks.append((len(block.instrs) + 1, decoded, term))
+    return func.name, template, blocks
+
+
+def _forward_moves(block, live_out):
+    """``block.instrs`` with each ``X t ...; MOV v, t`` whose ``t`` is dead
+    after the MOV written as ``X v ...``.  Every instruction reads its
+    operands before it writes, so ``X`` may read ``v``."""
+    live = _LIVENESS.transfer_term(block.term, live_out)
+    after = []
+    for ins in reversed(block.instrs):
+        after.append(live)
+        live = _LIVENESS.transfer_instr(ins, live)
+    after.reverse()
+    out = []
+    for ins, live in zip(block.instrs, after):
+        src = ins[2] if ins[0] == MOV else None
+        if src is not None and src not in live and out and instr_def(out[-1]) == src:
+            prev = out[-1]
+            at = 2 if prev[0] == BIN or prev[0] == UN else 1
+            out[-1] = prev[:at] + (ins[1],) + prev[at + 1 :]
+        else:
+            out.append(ins)
+    return out
+
+
+def _fold_consts(instrs, term, live_out, template, slots):
+    """Fold into constant slots each CONST whose register is redefined
+    later in the block or is not in ``live_out``; returns the other
+    instructions and the terminator, with the folded registers' uses
+    renamed.  ``slots`` maps each constant to its slot in ``template``."""
+    later = set()
+    fold = []
+    for ins in reversed(instrs):
+        dst = instr_def(ins)
+        fold.append(ins[0] == CONST and (dst in later or dst not in live_out))
+        if dst is not None:
+            later.add(dst)
+    fold.reverse()
+    subst = {}
+    out = []
+    for ins, folded in zip(instrs, fold):
+        if subst:
+            ins = _renamed(ins, subst)
+        dst = instr_def(ins)
+        subst.pop(dst, None)
+        if folded:
+            key = (type(ins[2]), ins[2])
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(template)
+                template.append(ins[2])
+            subst[dst] = slot
+        else:
+            out.append(ins)
+    if term[0] != JMP and term[1] in subst:  # a BR condition or RET value
+        term = (term[0], subst[term[1]]) + term[2:]
+    return out, term
+
+
+def _renamed(ins, subst):
+    """``ins`` with every register it reads renamed through ``subst``."""
+    op = ins[0]
+    out = list(ins)
+    if op == CALL or op == BUILTIN:
+        out[3] = tuple(subst.get(r, r) for r in ins[3])
+    for at in _USES_AT.get(op, ()):
+        out[at] = subst.get(ins[at], ins[at])
+    return tuple(out)
+
+
 class _Exec:
     def __init__(self, program, instrumentation, instr_budget, call_depth_limit, cmplog):
         self._program = program
@@ -161,6 +313,7 @@ class _Exec:
         self._depth_limit = call_depth_limit
         self._cmplog = cmplog
         self._heap = Heap(program.strings)
+        self._forms = _program_forms(program)
         self._count = 0
         # [probe count, probe cost]: a list so inner loops can update it
         # through one local alias instead of attribute writes.
@@ -262,16 +415,27 @@ class _Exec:
 
     # -- the interpreter loop ------------------------------------------------
 
+    def _form(self, func_index):
+        """The decoded form of function ``func_index``, decoded at its first
+        call and kept for every later execution of the program."""
+        form = self._forms[func_index]
+        if form is None:
+            form = self._forms[func_index] = decode(self._program.funcs[func_index])
+        return form
+
     def _call(self, func_index, args):
-        program = self._program
-        func = program.funcs[func_index]
-        fname = func.name
+        fname, template, blocks = self._form(func_index)
         heap = self._heap
+        arrays = heap._arrays
+        rbase = heap._readonly_base
         hits = self._hits
         probe_acc = self._probe_acc
         probe_costs = PROBE_COSTS
         pure = self._pure_hit
-        regs = [0] * func.nregs
+        cmplog = self._cmplog
+        cmp_log = self._cmp_log
+        stack = self._stack
+        regs = template[:]
         regs[: len(args)] = args
         if self._instr is not None:
             erows = self._instr.edge_rows[func_index]
@@ -288,161 +452,209 @@ class _Exec:
             erows = racts = None
             mask = 0
         pathreg = 0
-        blocks = func.blocks
         cur = 0
         budget = self._budget
-        while True:
-            block = blocks[cur]
-            instrs = block.instrs
-            self._count += len(instrs) + 1
-            if self._count > budget:
-                raise Timeout(budget)
-            for ins in instrs:
-                op = ins[0]
-                if op == BIN:
-                    binop = ins[1]
-                    try:
+        # The instruction counter lives in ``count``; ``self._count`` is
+        # brought up to date around calls and builtins, at RET, and by the
+        # handler below when a trap or timeout leaves this frame.
+        count = self._count
+        try:
+            while True:
+                cost, instrs, term = blocks[cur]
+                count += cost
+                if count > budget:
+                    raise Timeout(budget)
+                for ins in instrs:
+                    op = ins[0]
+                    if op == BIN_EQ:
                         a = regs[ins[3]]
                         b = regs[ins[4]]
-                        if binop == OP_EQ:
-                            value = 1 if a == b else 0
-                        elif binop == OP_NE:
-                            value = 1 if a != b else 0
-                        elif binop == OP_ADD:
-                            value = wrap_int(a + b)
-                        elif binop == OP_SUB:
-                            value = wrap_int(a - b)
-                        elif binop == OP_LT:
-                            value = 1 if a < b else 0
-                        elif binop == OP_LE:
-                            value = 1 if a <= b else 0
-                        elif binop == OP_GT:
-                            value = 1 if a > b else 0
-                        elif binop == OP_GE:
-                            value = 1 if a >= b else 0
-                        elif binop == OP_MUL:
-                            value = wrap_int(a * b)
-                        elif binop == OP_AND:
-                            value = a & b
-                        elif binop == OP_OR:
-                            value = a | b
-                        elif binop == OP_XOR:
-                            value = a ^ b
-                        elif binop == OP_DIV or binop == OP_MOD:
-                            div = binop == OP_DIV
-                            if b == 0:
-                                self._bin_rule(binop, a, b, fname, ins[5])
-                            value = wrap_int(_c_div(a, b) if div else _c_mod(a, b))
-                        else:  # OP_SHL / OP_SHR
-                            if b < 0 or b > 63:
-                                self._bin_rule(binop, a, b, fname, ins[5])
-                            value = wrap_int(a << b) if binop == OP_SHL else a >> b
-                    except TypeError:
-                        self._bin_rule(binop, a, b, fname, ins[5])
-                    if self._cmplog and binop in COMPARISON_OPS:
-                        if len(self._cmp_log) < CMPLOG_CAP:
-                            self._cmp_log.append((a, b))
-                    regs[ins[2]] = value
-                elif op == CONST:
-                    regs[ins[1]] = ins[2]
-                elif op == MOV:
-                    regs[ins[1]] = regs[ins[2]]
-                elif op == LOAD:
-                    arr = regs[ins[2]]
-                    idx = regs[ins[3]]
-                    if not isinstance(arr, ArrayRef):
-                        self._access_rule(arr, idx, False, fname, ins[4])
-                    storage = heap.storage(arr)
-                    if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._access_rule(arr, idx, False, fname, ins[4])
-                    regs[ins[1]] = storage[idx]
-                elif op == STORE:
-                    arr = regs[ins[1]]
-                    idx = regs[ins[2]]
-                    if not isinstance(arr, ArrayRef) or heap.is_readonly(arr):
-                        self._access_rule(arr, idx, True, fname, ins[4])
-                    storage = heap.storage(arr)
-                    if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._access_rule(arr, idx, True, fname, ins[4])
-                    storage[idx] = regs[ins[3]]
-                elif op == UN:
-                    unop = ins[1]
-                    a = regs[ins[3]]
-                    try:
-                        if unop == OP_NEG:
-                            regs[ins[2]] = wrap_int(-a)
-                        elif unop == OP_LNOT:
-                            regs[ins[2]] = 1 if a == 0 else 0
-                        else:
-                            regs[ins[2]] = wrap_int(~a)
-                    except TypeError:
-                        self._un_rule(unop, a, fname)
-                elif op == CALL:
-                    if len(self._stack) + 1 >= self._depth_limit:
-                        self._depth_rule(fname, ins[4])
-                    self._stack.append((fname, ins[4]))
-                    regs[ins[1]] = self._call(ins[2], [regs[r] for r in ins[3]])
-                    self._stack.pop()
-                elif op == BUILTIN:
-                    regs[ins[1]] = self._builtin(
-                        ins[2], [regs[r] for r in ins[3]], fname, ins[4]
-                    )
-                else:  # STR
-                    regs[ins[1]] = heap.string_ref(ins[2])
-            term = block.term
-            top = term[0]
-            if top == BR:
-                nxt = term[2] if regs[term[1]] else term[3]
-            elif top == JMP:
-                nxt = term[1]
-            else:  # RET
-                if racts is not None:
-                    acts = racts.get(cur)
-                    if acts:
-                        if pure:
-                            idx = acts[0][1]
-                            hits[idx] = hits.get(idx, 0) + 1
-                        else:
-                            self._run_actions(acts, pathreg, mask)
-                value = term[1]
-                return 0 if value == -1 else regs[value]
-            if erows is not None:
-                row = erows[cur]
-                if row is not None:
-                    if pure:
-                        # A pure-HIT row holds the edge's map index.
-                        idx = row.get(nxt)
-                        if idx is not None:
-                            hits[idx] = hits.get(idx, 0) + 1
-                    else:
-                        acts = row.get(nxt)
+                        regs[ins[2]] = 1 if a == b else 0
+                        if cmplog and len(cmp_log) < CMPLOG_CAP:
+                            cmp_log.append((a, b))
+                    elif op == BIN_ADD:
+                        a = regs[ins[3]]
+                        b = regs[ins[4]]
+                        try:
+                            value = a + b
+                        except TypeError:
+                            self._bin_rule(OP_ADD, a, b, fname, ins[5])
+                        regs[ins[2]] = (
+                            value if _I64_MIN <= value <= _I64_MAX else wrap_int(value)
+                        )
+                    elif op == BIN_LT:
+                        a = regs[ins[3]]
+                        b = regs[ins[4]]
+                        try:
+                            regs[ins[2]] = 1 if a < b else 0
+                        except TypeError:
+                            self._bin_rule(OP_LT, a, b, fname, ins[5])
+                        if cmplog and len(cmp_log) < CMPLOG_CAP:
+                            cmp_log.append((a, b))
+                    elif op == LOAD:
+                        arr = regs[ins[2]]
+                        idx = regs[ins[3]]
+                        if not isinstance(arr, ArrayRef):
+                            self._access_rule(arr, idx, False, fname, ins[4])
+                        storage = arrays[arr.array_id]
+                        if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
+                            self._access_rule(arr, idx, False, fname, ins[4])
+                        regs[ins[1]] = storage[idx]
+                    elif op == BUILTIN:
+                        self._count = count
+                        regs[ins[1]] = _BUILTIN_DISPATCH[ins[2]](
+                            self, [regs[r] for r in ins[3]], fname, ins[4]
+                        )
+                        count = self._count
+                    elif op == STR:
+                        regs[ins[1]] = ArrayRef(ins[2], True)
+                    elif op == BIN_LE or op == BIN_GT or op == BIN_GE or op == BIN_NE:
+                        a = regs[ins[3]]
+                        b = regs[ins[4]]
+                        try:
+                            if op == BIN_LE:
+                                value = 1 if a <= b else 0
+                            elif op == BIN_GT:
+                                value = 1 if a > b else 0
+                            elif op == BIN_GE:
+                                value = 1 if a >= b else 0
+                            else:
+                                value = 1 if a != b else 0
+                        except TypeError:
+                            self._bin_rule(ins[1], a, b, fname, ins[5])
+                        if cmplog and len(cmp_log) < CMPLOG_CAP:
+                            cmp_log.append((a, b))
+                        regs[ins[2]] = value
+                    elif op == CALL:
+                        if len(stack) + 1 >= self._depth_limit:
+                            self._depth_rule(fname, ins[4])
+                        stack.append((fname, ins[4]))
+                        self._count = count
+                        regs[ins[1]] = self._call(ins[2], [regs[r] for r in ins[3]])
+                        count = self._count
+                        stack.pop()
+                    elif op == CONST:
+                        regs[ins[1]] = ins[2]
+                    elif op == STORE:
+                        arr = regs[ins[1]]
+                        idx = regs[ins[2]]
+                        if (
+                            not isinstance(arr, ArrayRef)
+                            or arr.readonly
+                            or arr.array_id < rbase
+                        ):
+                            self._access_rule(arr, idx, True, fname, ins[4])
+                        storage = arrays[arr.array_id]
+                        if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
+                            self._access_rule(arr, idx, True, fname, ins[4])
+                        storage[idx] = regs[ins[3]]
+                    elif op == MOV:
+                        regs[ins[1]] = regs[ins[2]]
+                    elif op == UN:
+                        unop = ins[1]
+                        a = regs[ins[3]]
+                        try:
+                            if unop == OP_NEG:
+                                regs[ins[2]] = wrap_int(-a)
+                            elif unop == OP_LNOT:
+                                regs[ins[2]] = 1 if a == 0 else 0
+                            else:
+                                regs[ins[2]] = wrap_int(~a)
+                        except TypeError:
+                            self._un_rule(unop, a, fname)
+                    else:  # the other BIN operators: no cmplog, no comparison
+                        binop = ins[1]
+                        a = regs[ins[3]]
+                        b = regs[ins[4]]
+                        try:
+                            if binop == OP_SUB:
+                                value = wrap_int(a - b)
+                            elif binop == OP_MUL:
+                                value = wrap_int(a * b)
+                            elif binop == OP_AND:
+                                value = a & b
+                            elif binop == OP_OR:
+                                value = a | b
+                            elif binop == OP_XOR:
+                                value = a ^ b
+                            elif binop == OP_DIV or binop == OP_MOD:
+                                if b == 0:
+                                    self._bin_rule(binop, a, b, fname, ins[5])
+                                value = wrap_int(
+                                    _c_div(a, b) if binop == OP_DIV else _c_mod(a, b)
+                                )
+                            else:  # OP_SHL / OP_SHR
+                                if b < 0 or b > 63:
+                                    self._bin_rule(binop, a, b, fname, ins[5])
+                                value = wrap_int(a << b) if binop == OP_SHL else a >> b
+                        except TypeError:
+                            self._bin_rule(binop, a, b, fname, ins[5])
+                        regs[ins[2]] = value
+                top = term[0]
+                if top == BR:
+                    nxt = term[2] if regs[term[1]] else term[3]
+                elif top == JMP:
+                    nxt = term[1]
+                else:  # RET
+                    self._count = count
+                    if racts is not None:
+                        acts = racts.get(cur)
                         if acts:
-                            # Inlined action dispatch: the two hot kinds (edge
-                            # hit, Ball-Larus increment) avoid a function call.
-                            for act in acts:
-                                kind = act[0]
-                                probe_acc[0] += 1
-                                probe_acc[1] += probe_costs[kind]
-                                if kind == 0:  # ACT_HIT
-                                    idx = act[1]
-                                    hits[idx] = hits.get(idx, 0) + 1
-                                elif kind == 1:  # ACT_ADD
-                                    pathreg += act[1]
-                                elif kind == 2:  # ACT_END_RESET
-                                    idx = ((pathreg + act[1]) ^ act[3]) & mask
-                                    hits[idx] = hits.get(idx, 0) + 1
-                                    pathreg = act[2]
-                                    if self._pair_paths:
-                                        pair = (
-                                            (self._last_path_idx * 0x9E3779B1) ^ idx
-                                        ) & mask
-                                        hits[pair] = hits.get(pair, 0) + 1
-                                        self._last_path_idx = idx
-                                else:  # rare kinds: ngram / hpath / ret-end
-                                    probe_acc[0] -= 1
-                                    probe_acc[1] -= probe_costs[kind]
-                                    pathreg = self._run_one_action(act, pathreg, mask)
-            cur = nxt
+                            if pure:
+                                idx = acts[0][1]
+                                hits[idx] = hits.get(idx, 0) + 1
+                            else:
+                                self._run_actions(acts, pathreg, mask)
+                    value = term[1]
+                    return 0 if value == -1 else regs[value]
+                if erows is not None:
+                    row = erows[cur]
+                    if row is not None:
+                        if pure:
+                            # A pure-HIT row holds the edge's map index.
+                            idx = row.get(nxt)
+                            if idx is not None:
+                                hits[idx] = hits.get(idx, 0) + 1
+                        else:
+                            acts = row.get(nxt)
+                            if acts:
+                                # Inlined action dispatch: the two hot kinds
+                                # (edge hit, Ball-Larus increment) avoid a
+                                # function call.
+                                for act in acts:
+                                    kind = act[0]
+                                    probe_acc[0] += 1
+                                    probe_acc[1] += probe_costs[kind]
+                                    if kind == 0:  # ACT_HIT
+                                        idx = act[1]
+                                        hits[idx] = hits.get(idx, 0) + 1
+                                    elif kind == 1:  # ACT_ADD
+                                        pathreg += act[1]
+                                    elif kind == 2:  # ACT_END_RESET
+                                        idx = ((pathreg + act[1]) ^ act[3]) & mask
+                                        hits[idx] = hits.get(idx, 0) + 1
+                                        pathreg = act[2]
+                                        if self._pair_paths:
+                                            pair = (
+                                                (self._last_path_idx * 0x9E3779B1)
+                                                ^ idx
+                                            ) & mask
+                                            hits[pair] = hits.get(pair, 0) + 1
+                                            self._last_path_idx = idx
+                                    else:  # rare kinds: ngram / hpath / ret-end
+                                        probe_acc[0] -= 1
+                                        probe_acc[1] -= probe_costs[kind]
+                                        pathreg = self._run_one_action(
+                                            act, pathreg, mask
+                                        )
+                cur = nxt
+        except (Trap, Timeout):
+            # The counter only grows: whichever of this frame's count and
+            # the one a callee or builtin left in ``self._count`` is larger
+            # is the count at the fault.
+            if count > self._count:
+                self._count = count
+            raise
 
     def _run_actions(self, acts, pathreg, mask):
         """Execute probe actions; returns the (possibly updated) path register."""
@@ -504,10 +716,6 @@ class _Exec:
         return pathreg
 
     # -- builtins --------------------------------------------------------------
-
-    def _builtin(self, code, args, fname, line):
-        name = _BUILTIN_DISPATCH[code]
-        return name(self, args, fname, line)
 
     def _array_arg(self, value, fname, line):
         if not isinstance(value, ArrayRef):

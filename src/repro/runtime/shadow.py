@@ -8,11 +8,15 @@ expression.  :class:`ShadowExec` is that replay, written once.  Its
 concrete side mirrors ``_Exec`` exactly — instruction and probe
 accounting, traps, cmplog — so a shadow run's
 :class:`~repro.runtime.interpreter.ExecutionResult` is bit-identical to a
-plain interpretation of the same input.  The loop keeps ``_Exec``'s
-inline guards; a failed guard calls ``_Exec``'s trap rule for its check
-family (``_bin_rule``, ``_un_rule``, ``_access_rule``, ``_depth_rule``,
-or a builtin's ``_bi_*`` method), so no trap kind or detail is written
-here.  Pure-HIT probes are the same one map update as in ``_Exec``;
+plain interpretation of the same input.  It runs the decoded form that
+``_Exec`` runs (:func:`~repro.runtime.interpreter.decode`), charging each
+block its IR length plus one, with a shadow frame of
+``[None] * len(template)``: a constant slot is clean, as the CONST it
+replaces would have made its register.  Every BIN-family opcode is
+dispatched as BIN.  The loop keeps ``_Exec``'s inline guards; a failed
+guard calls ``_Exec``'s trap rule for its check family (``_bin_rule``,
+``_un_rule``, ``_access_rule``, ``_depth_rule``, or a builtin's ``_bi_*``
+method), so no trap kind or detail is written here.  Pure-HIT probes are the same one map update as in ``_Exec``;
 other probe actions run through the out-of-line ``_run_actions`` helper,
 accounting-identical to the inlined copy that ``_Exec`` keeps for speed.
 
@@ -48,10 +52,8 @@ the first shadowed write, and the shadow of each allocation's size.
 """
 
 from repro.cfg.instructions import (
-    BIN,
     BR,
     BUILTIN,
-    CALL,
     COMPARISON_OPS,
     CONST,
     JMP,
@@ -75,18 +77,20 @@ from repro.cfg.instructions import (
     OP_SUB,
     OP_XOR,
     STORE,
+    STR,
     UN,
 )
 from repro.lang.builtins_spec import BUILTIN_CODES
 from repro.runtime.interpreter import (
     _BUILTIN_DISPATCH,
     _READS,
+    BIN_BASE,
     CMPLOG_CAP,
     _c_div,
     _c_mod,
     _Exec,
 )
-from repro.runtime.traps import Timeout
+from repro.runtime.traps import Timeout, Trap
 from repro.runtime.values import ArrayRef, wrap_int
 
 # Builtin argument positions that can steer control: offsets, lengths and
@@ -204,9 +208,8 @@ class ShadowExec(_Exec):
     # -- the shadow interpreter loop -------------------------------------------
 
     def _call(self, func_index, args, shadows=None):
-        func = self._program.funcs[func_index]
-        fname = func.name
-        heap = self._heap
+        fname, template, blocks = self._form(func_index)
+        arrays = self._heap._arrays
         cellmap = self._cells
         sizes = self._sizes
         steer = self._steer
@@ -218,9 +221,9 @@ class ShadowExec(_Exec):
         cmp_log = self._cmp_log
         hits = self._hits
         pure = self._pure_hit
-        regs = [0] * func.nregs
+        regs = template[:]
         regs[: len(args)] = args
-        sregs = [None] * func.nregs
+        sregs = [None] * len(template)
         if shadows:
             sregs[: len(shadows)] = shadows
         if self._instr is not None:
@@ -238,189 +241,199 @@ class ShadowExec(_Exec):
             erows = racts = None
             mask = 0
         pathreg = 0
-        blocks = func.blocks
         cur = 0
         budget = self._budget
-        while True:
-            block = blocks[cur]
-            instrs = block.instrs
-            self._count += len(instrs) + 1
-            if self._count > budget:
-                raise Timeout(budget)
-            for ins in instrs:
-                op = ins[0]
-                if op == BIN:
-                    binop = ins[1]
-                    sa = sregs[ins[3]]
-                    sb = sregs[ins[4]]
-                    try:
+        count = self._count  # kept as ``_Exec._call`` keeps it
+        try:
+            while True:
+                cost, instrs, term = blocks[cur]
+                count += cost
+                if count > budget:
+                    raise Timeout(budget)
+                for ins in instrs:
+                    op = ins[0]
+                    if op >= BIN_BASE:
+                        binop = ins[1]
+                        sa = sregs[ins[3]]
+                        sb = sregs[ins[4]]
+                        try:
+                            a = regs[ins[3]]
+                            b = regs[ins[4]]
+                            if binop == OP_EQ:
+                                value = 1 if a == b else 0
+                            elif binop == OP_NE:
+                                value = 1 if a != b else 0
+                            elif binop == OP_ADD:
+                                value = wrap_int(a + b)
+                            elif binop == OP_SUB:
+                                value = wrap_int(a - b)
+                            elif binop == OP_LT:
+                                value = 1 if a < b else 0
+                            elif binop == OP_LE:
+                                value = 1 if a <= b else 0
+                            elif binop == OP_GT:
+                                value = 1 if a > b else 0
+                            elif binop == OP_GE:
+                                value = 1 if a >= b else 0
+                            elif binop == OP_MUL:
+                                value = wrap_int(a * b)
+                            elif binop == OP_AND:
+                                value = a & b
+                            elif binop == OP_OR:
+                                value = a | b
+                            elif binop == OP_XOR:
+                                value = a ^ b
+                            elif binop == OP_DIV or binop == OP_MOD:
+                                if sb is not None:
+                                    steer(sb)
+                                div = binop == OP_DIV
+                                if b == 0:
+                                    self._bin_rule(binop, a, b, fname, ins[5])
+                                value = wrap_int(_c_div(a, b) if div else _c_mod(a, b))
+                            else:  # OP_SHL / OP_SHR
+                                if sb is not None:
+                                    steer(sb)
+                                if b < 0 or b > 63:
+                                    self._bin_rule(binop, a, b, fname, ins[5])
+                                value = wrap_int(a << b) if binop == OP_SHL else a >> b
+                        except TypeError:
+                            self._bin_rule(binop, a, b, fname, ins[5])
+                        if observe_cmp and binop in COMPARISON_OPS:
+                            if cmplog and len(cmp_log) < CMPLOG_CAP:
+                                cmp_log.append((a, b))
+                            if on_cmp is not None:
+                                on_cmp((fname, ins[5], binop), sa, sb, a, b)
+                        regs[ins[2]] = value
+                        if sa is None and sb is None:
+                            sregs[ins[2]] = None
+                        else:
+                            sregs[ins[2]] = join_bin(binop, sa, sb, a, b)
+                    elif op == LOAD:
+                        arr = regs[ins[2]]
+                        idx = regs[ins[3]]
+                        if not isinstance(arr, ArrayRef):
+                            self._access_rule(arr, idx, False, fname, ins[4])
+                        sarr = sregs[ins[2]]
+                        sidx = sregs[ins[3]]
+                        if sidx is not None or sarr is not None or sizes:
+                            self._steer_access(arr, sarr, sidx)
+                        storage = arrays[arr.array_id]
+                        if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
+                            self._access_rule(arr, idx, False, fname, ins[4])
+                        regs[ins[1]] = storage[idx]
+                        cells = cellmap.get(arr.array_id)
+                        cell = cells[idx] if cells is not None else None
+                        if sidx is None and sarr is None:
+                            sregs[ins[1]] = cell
+                        else:
+                            sregs[ins[1]] = self._load_indexed(cell, sarr, sidx)
+                    elif op == MOV:
+                        regs[ins[1]] = regs[ins[2]]
+                        sregs[ins[1]] = sregs[ins[2]]
+                    elif op == CONST:
+                        regs[ins[1]] = ins[2]
+                        sregs[ins[1]] = None
+                    elif op == BUILTIN:
+                        self._count = count
+                        regs[ins[1]], sregs[ins[1]] = self._builtin_shadow(
+                            ins[2],
+                            [regs[r] for r in ins[3]],
+                            [sregs[r] for r in ins[3]],
+                            fname,
+                            ins[4],
+                        )
+                        count = self._count
+                    elif op == STR:
+                        regs[ins[1]] = ArrayRef(ins[2], True)
+                        sregs[ins[1]] = None
+                    elif op == STORE:
+                        arr = regs[ins[1]]
+                        idx = regs[ins[2]]
+                        if not isinstance(arr, ArrayRef) or self._heap.is_readonly(arr):
+                            self._access_rule(arr, idx, True, fname, ins[4])
+                        sarr = sregs[ins[1]]
+                        sidx = sregs[ins[2]]
+                        if sidx is not None or sarr is not None or sizes:
+                            self._steer_access(arr, sarr, sidx)
+                        storage = arrays[arr.array_id]
+                        if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
+                            self._access_rule(arr, idx, True, fname, ins[4])
+                        storage[idx] = regs[ins[3]]
+                        shadow = sregs[ins[3]]
+                        if sidx is not None or sarr is not None:
+                            self._store_indexed(arr, idx, shadow)
+                        elif shadow is not None or arr.array_id in cellmap:
+                            self._cells_for_write(arr)[idx] = shadow
+                    elif op == UN:
+                        unop = ins[1]
                         a = regs[ins[3]]
-                        b = regs[ins[4]]
-                        if binop == OP_EQ:
-                            value = 1 if a == b else 0
-                        elif binop == OP_NE:
-                            value = 1 if a != b else 0
-                        elif binop == OP_ADD:
-                            value = wrap_int(a + b)
-                        elif binop == OP_SUB:
-                            value = wrap_int(a - b)
-                        elif binop == OP_LT:
-                            value = 1 if a < b else 0
-                        elif binop == OP_LE:
-                            value = 1 if a <= b else 0
-                        elif binop == OP_GT:
-                            value = 1 if a > b else 0
-                        elif binop == OP_GE:
-                            value = 1 if a >= b else 0
-                        elif binop == OP_MUL:
-                            value = wrap_int(a * b)
-                        elif binop == OP_AND:
-                            value = a & b
-                        elif binop == OP_OR:
-                            value = a | b
-                        elif binop == OP_XOR:
-                            value = a ^ b
-                        elif binop == OP_DIV or binop == OP_MOD:
-                            if sb is not None:
-                                steer(sb)
-                            div = binop == OP_DIV
-                            if b == 0:
-                                self._bin_rule(binop, a, b, fname, ins[5])
-                            value = wrap_int(_c_div(a, b) if div else _c_mod(a, b))
-                        else:  # OP_SHL / OP_SHR
-                            if sb is not None:
-                                steer(sb)
-                            if b < 0 or b > 63:
-                                self._bin_rule(binop, a, b, fname, ins[5])
-                            value = wrap_int(a << b) if binop == OP_SHL else a >> b
-                    except TypeError:
-                        self._bin_rule(binop, a, b, fname, ins[5])
-                    if observe_cmp and binop in COMPARISON_OPS:
-                        if cmplog and len(cmp_log) < CMPLOG_CAP:
-                            cmp_log.append((a, b))
-                        if on_cmp is not None:
-                            on_cmp((fname, ins[5], binop), sa, sb, a, b)
-                    regs[ins[2]] = value
-                    if sa is None and sb is None:
-                        sregs[ins[2]] = None
-                    else:
-                        sregs[ins[2]] = join_bin(binop, sa, sb, a, b)
-                elif op == CONST:
-                    regs[ins[1]] = ins[2]
-                    sregs[ins[1]] = None
-                elif op == MOV:
-                    regs[ins[1]] = regs[ins[2]]
-                    sregs[ins[1]] = sregs[ins[2]]
-                elif op == LOAD:
-                    arr = regs[ins[2]]
-                    idx = regs[ins[3]]
-                    if not isinstance(arr, ArrayRef):
-                        self._access_rule(arr, idx, False, fname, ins[4])
-                    sarr = sregs[ins[2]]
-                    sidx = sregs[ins[3]]
-                    if sidx is not None or sarr is not None or sizes:
-                        self._steer_access(arr, sarr, sidx)
-                    storage = heap.storage(arr)
-                    if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._access_rule(arr, idx, False, fname, ins[4])
-                    regs[ins[1]] = storage[idx]
-                    cells = cellmap.get(arr.array_id)
-                    cell = cells[idx] if cells is not None else None
-                    if sidx is None and sarr is None:
-                        sregs[ins[1]] = cell
-                    else:
-                        sregs[ins[1]] = self._load_indexed(cell, sarr, sidx)
-                elif op == STORE:
-                    arr = regs[ins[1]]
-                    idx = regs[ins[2]]
-                    if not isinstance(arr, ArrayRef) or heap.is_readonly(arr):
-                        self._access_rule(arr, idx, True, fname, ins[4])
-                    sarr = sregs[ins[1]]
-                    sidx = sregs[ins[2]]
-                    if sidx is not None or sarr is not None or sizes:
-                        self._steer_access(arr, sarr, sidx)
-                    storage = heap.storage(arr)
-                    if isinstance(idx, ArrayRef) or idx < 0 or idx >= len(storage):
-                        self._access_rule(arr, idx, True, fname, ins[4])
-                    storage[idx] = regs[ins[3]]
-                    shadow = sregs[ins[3]]
-                    if sidx is not None or sarr is not None:
-                        self._store_indexed(arr, idx, shadow)
-                    elif shadow is not None or arr.array_id in cellmap:
-                        self._cells_for_write(arr)[idx] = shadow
-                elif op == UN:
-                    unop = ins[1]
-                    a = regs[ins[3]]
-                    try:
-                        if unop == OP_NEG:
-                            regs[ins[2]] = wrap_int(-a)
-                        elif unop == OP_LNOT:
-                            regs[ins[2]] = 1 if a == 0 else 0
-                        else:
-                            regs[ins[2]] = wrap_int(~a)
-                    except TypeError:
-                        self._un_rule(unop, a, fname)
-                    sa = sregs[ins[3]]
-                    sregs[ins[2]] = None if sa is None else self._join_un(unop, sa)
-                elif op == CALL:
-                    if len(self._stack) + 1 >= self._depth_limit:
-                        self._depth_rule(fname, ins[4])
-                    self._stack.append((fname, ins[4]))
-                    regs[ins[1]] = self._call(
-                        ins[2], [regs[r] for r in ins[3]], [sregs[r] for r in ins[3]]
-                    )
-                    self._stack.pop()
-                    sregs[ins[1]] = self._sret
-                elif op == BUILTIN:
-                    regs[ins[1]], sregs[ins[1]] = self._builtin_shadow(
-                        ins[2],
-                        [regs[r] for r in ins[3]],
-                        [sregs[r] for r in ins[3]],
-                        fname,
-                        ins[4],
-                    )
-                else:  # STR
-                    regs[ins[1]] = heap.string_ref(ins[2])
-                    sregs[ins[1]] = None
-            term = block.term
-            top = term[0]
-            if top == BR:
-                cond = regs[term[1]]
-                scond = sregs[term[1]]
-                nxt = term[2] if cond else term[3]
-                if scond is not None:
-                    self._steer_branch((fname, cur), nxt, cond, scond)
-                if on_branch is not None:
-                    on_branch((fname, cur), nxt, scond)
-            elif top == JMP:
-                nxt = term[1]
-            else:  # RET
-                if racts is not None:
-                    acts = racts.get(cur)
-                    if acts:
-                        if pure:
-                            idx = acts[0][1]
-                            hits[idx] = hits.get(idx, 0) + 1
-                        else:
-                            self._run_actions(acts, pathreg, mask)
-                value = term[1]
-                if value == -1:
-                    self._sret = None
-                    return 0
-                self._sret = sregs[value]
-                return regs[value]
-            if erows is not None:
-                row = erows[cur]
-                if row is not None:
-                    if pure:
-                        idx = row.get(nxt)
-                        if idx is not None:
-                            hits[idx] = hits.get(idx, 0) + 1
-                    else:
-                        acts = row.get(nxt)
+                        try:
+                            if unop == OP_NEG:
+                                regs[ins[2]] = wrap_int(-a)
+                            elif unop == OP_LNOT:
+                                regs[ins[2]] = 1 if a == 0 else 0
+                            else:
+                                regs[ins[2]] = wrap_int(~a)
+                        except TypeError:
+                            self._un_rule(unop, a, fname)
+                        sa = sregs[ins[3]]
+                        sregs[ins[2]] = None if sa is None else self._join_un(unop, sa)
+                    else:  # CALL
+                        if len(self._stack) + 1 >= self._depth_limit:
+                            self._depth_rule(fname, ins[4])
+                        self._stack.append((fname, ins[4]))
+                        self._count = count
+                        regs[ins[1]] = self._call(
+                            ins[2],
+                            [regs[r] for r in ins[3]],
+                            [sregs[r] for r in ins[3]],
+                        )
+                        count = self._count
+                        self._stack.pop()
+                        sregs[ins[1]] = self._sret
+                top = term[0]
+                if top == BR:
+                    cond = regs[term[1]]
+                    scond = sregs[term[1]]
+                    nxt = term[2] if cond else term[3]
+                    if scond is not None:
+                        self._steer_branch((fname, cur), nxt, cond, scond)
+                    if on_branch is not None:
+                        on_branch((fname, cur), nxt, scond)
+                elif top == JMP:
+                    nxt = term[1]
+                else:  # RET
+                    self._count = count
+                    if racts is not None:
+                        acts = racts.get(cur)
                         if acts:
-                            pathreg = self._run_actions(acts, pathreg, mask)
-            cur = nxt
+                            if pure:
+                                idx = acts[0][1]
+                                hits[idx] = hits.get(idx, 0) + 1
+                            else:
+                                self._run_actions(acts, pathreg, mask)
+                    value = term[1]
+                    if value == -1:
+                        self._sret = None
+                        return 0
+                    self._sret = sregs[value]
+                    return regs[value]
+                if erows is not None:
+                    row = erows[cur]
+                    if row is not None:
+                        if pure:
+                            idx = row.get(nxt)
+                            if idx is not None:
+                                hits[idx] = hits.get(idx, 0) + 1
+                        else:
+                            acts = row.get(nxt)
+                            if acts:
+                                pathreg = self._run_actions(acts, pathreg, mask)
+                cur = nxt
+        except (Trap, Timeout):
+            if count > self._count:
+                self._count = count
+            raise
 
     def _steer_access(self, arr, sarr, sidx):
         """Steer on what decides an array access's bounds trap."""
