@@ -30,6 +30,7 @@ import os
 import pickle
 
 from repro.experiments.config import FUZZER_CONFIGS, run_config
+from repro.fileio import atomic_write_bytes
 from repro.fuzzer.clock import hours_to_ticks
 from repro.subjects import get_subject, subject_names
 
@@ -165,10 +166,7 @@ def campaign(subject_name, config_name, run_seed, hours, scale=None):
     _MEMORY_CACHE[key] = result
     if disk_path is not None:
         os.makedirs(_cache_dir(), exist_ok=True)
-        tmp_path = disk_path + ".tmp"
-        with open(tmp_path, "wb") as handle:
-            pickle.dump(result, handle)
-        os.replace(tmp_path, disk_path)
+        atomic_write_bytes(disk_path, pickle.dumps(result))
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         # The campaign completed; its resume point is no longer needed.
         try:

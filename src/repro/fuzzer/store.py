@@ -47,6 +47,8 @@ import socket
 import threading
 import time
 
+from repro.fileio import atomic_write_bytes
+
 logger = logging.getLogger("repro.fuzzer.store")
 
 #: Manifest format version; bumped on incompatible layout changes.
@@ -122,23 +124,6 @@ class StoreMismatchError(StoreError):
 def content_hash(data):
     """Content identity of one input (same digest the corpus sync uses)."""
     return hashlib.sha1(bytes(data)).hexdigest()
-
-
-def atomic_write_bytes(path, data, fsync=True):
-    """Write ``data`` to ``path`` atomically: tmp + flush + fsync + rename.
-
-    A crash at any point leaves either the old file (or nothing) at ``path``
-    plus at worst a ``*.tmp.<pid>`` the scanner later quarantines — never a
-    half-written artifact under the real name.
-    """
-    tmp_path = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp_path, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    return path
 
 
 def _create_with_payload(path, payload, fsync):

@@ -120,6 +120,7 @@ from repro.cfg.instructions import (
     instr_uses,
 )
 from repro.analysis.foldops import fold_binop, fold_unop
+from repro.fileio import atomic_write_bytes
 from repro.lang.builtins_spec import BUILTIN_NAMES
 from repro.runtime.interpreter import (
     ACT_ADD,
@@ -616,10 +617,8 @@ def _load_functions(program, instrumentation, prune, cmplog, key, live, fast=Fal
         if path is not None:
             try:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                tmp = path + ".tmp.%d" % os.getpid()
-                with open(tmp, "w") as handle:
-                    json.dump({"nfuncs": len(program.funcs), "sources": sources}, handle)
-                os.replace(tmp, path)
+                payload = {"nfuncs": len(program.funcs), "sources": sources}
+                atomic_write_bytes(path, json.dumps(payload).encode(), fsync=False)
             except OSError:  # pragma: no cover - cache writes are best-effort
                 pass
     from repro.lang.builtins_spec import BUILTIN_CODES
