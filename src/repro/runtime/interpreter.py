@@ -425,9 +425,8 @@ class _Exec:
 
     def _call(self, func_index, args):
         fname, template, blocks = self._form(func_index)
-        heap = self._heap
-        arrays = heap._arrays
-        rbase = heap._readonly_base
+        arrays = self._heap._arrays
+        rbase = self._heap._readonly_base
         hits = self._hits
         probe_acc = self._probe_acc
         probe_costs = PROBE_COSTS

@@ -16,9 +16,10 @@ replaces would have made its register.  Every BIN-family opcode is
 dispatched as BIN.  The loop keeps ``_Exec``'s inline guards; a failed
 guard calls ``_Exec``'s trap rule for its check family (``_bin_rule``,
 ``_un_rule``, ``_access_rule``, ``_depth_rule``, or a builtin's ``_bi_*``
-method), so no trap kind or detail is written here.  Pure-HIT probes are the same one map update as in ``_Exec``;
-other probe actions run through the out-of-line ``_run_actions`` helper,
-accounting-identical to the inlined copy that ``_Exec`` keeps for speed.
+method), so no trap kind or detail is written here.  Pure-HIT probes are
+the same one map update as in ``_Exec``; other probe actions run through
+the out-of-line ``_run_actions`` helper, accounting-identical to the
+inlined copy that ``_Exec`` keeps for speed.
 
 ``None`` is the clean shadow in every domain.  The loop consults the
 domain only when a shadow is present, so clean values cost one
