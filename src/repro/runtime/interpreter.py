@@ -40,7 +40,6 @@ from repro.cfg.instructions import (
     BR,
     BUILTIN,
     CALL,
-    COMPARISON_OPS,
     CONST,
     JMP,
     LOAD,
