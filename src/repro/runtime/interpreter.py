@@ -6,10 +6,14 @@ function's first call and kept for every later execution of the program:
 each block is ``(cost, instrs, term)``, where CONSTs live in constant
 slots of a frame template instead of being dispatched, a MOV is folded
 into the instruction that computed its source when that source is dead
-afterwards, and every BIN operator has its own opcode.  A block is charged
-its IR length plus one (the terminator), whatever the decode dropped, so
-the virtual clock and every other observable are the IR's.
-:class:`repro.runtime.shadow.ShadowExec` runs the same form.
+afterwards, and every BIN operator has its own opcode.  A compare that
+ends its block and feeds only the BR after it is fused into that BR: the
+block's terminator is then ``(BRC_BASE + binop, binop, a, b, line, then,
+else)``, which evaluates the compare, logs its operands for cmplog as the
+BIN did, traps through ``_bin_rule`` at the compare's line, and branches.
+A block is charged its IR length plus one (the terminator), whatever the
+decode dropped, so the virtual clock and every other observable are the
+IR's.  :class:`repro.runtime.shadow.ShadowExec` runs the same form.
 
 Coverage instrumentation is supplied as *edge action tables* (see
 :mod:`repro.coverage.instrumenter`): when control moves from block ``src`` to
@@ -40,6 +44,7 @@ from repro.cfg.instructions import (
     BR,
     BUILTIN,
     CALL,
+    COMPARISON_OPS,
     CONST,
     JMP,
     LOAD,
@@ -105,6 +110,15 @@ BIN_GT = BIN_BASE + OP_GT
 BIN_GE = BIN_BASE + OP_GE
 BIN_EQ = BIN_BASE + OP_EQ
 BIN_NE = BIN_BASE + OP_NE
+
+# Fused terminators: a BR on the result of the compare just before it is
+# ``(BRC_BASE + binop, binop, a, b, line, then, else)`` (see decode).
+BRC_BASE = 32
+BRC_LT = BRC_BASE + OP_LT
+BRC_LE = BRC_BASE + OP_LE
+BRC_GT = BRC_BASE + OP_GT
+BRC_GE = BRC_BASE + OP_GE
+BRC_EQ = BRC_BASE + OP_EQ
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -220,6 +234,11 @@ def decode(func):
       out of it, becomes a constant slot: a register past ``func.nregs``
       that ``template`` holds the constant in and no instruction writes.
       The CONST's uses read the slot, and the CONST is not dispatched;
+    - a block whose last instruction is a compare (EQ, NE, LT, LE, GT,
+      GE) writing its BR's condition, dead out of the block, drops the
+      compare and ends in a fused terminator ``(BRC_BASE + binop, binop,
+      a, b, line, then, else)``.  The block is still charged at entry, so
+      a trapping compare traps at the same count, line and stack;
     - BIN takes its operator's opcode (``BIN_BASE + binop``).
     """
     live = solve(func, _LIVENESS)
@@ -230,6 +249,7 @@ def decode(func):
         live_out = live.exit[block.id]
         instrs = _forward_moves(block, live_out)
         instrs, term = _fold_consts(instrs, block.term, live_out, template, slots)
+        instrs, term = _fuse_branch(instrs, term, live_out)
         decoded = tuple(
             (BIN_BASE + ins[1],) + ins[1:] if ins[0] == BIN else ins for ins in instrs
         )
@@ -291,6 +311,23 @@ def _fold_consts(instrs, term, live_out, template, slots):
     if term[0] != JMP and term[1] in subst:  # a BR condition or RET value
         term = (term[0], subst[term[1]]) + term[2:]
     return out, term
+
+
+def _fuse_branch(instrs, term, live_out):
+    """``instrs`` and ``term`` with a final compare folded into the BR
+    that reads its result, when that result is not in ``live_out``."""
+    if term[0] != BR or not instrs:
+        return instrs, term
+    last = instrs[-1]
+    if (
+        last[0] != BIN
+        or last[1] not in COMPARISON_OPS
+        or last[2] != term[1]
+        or term[1] in live_out
+    ):
+        return instrs, term
+    _, binop, _, a, b, line = last
+    return instrs[:-1], (BRC_BASE + binop, binop, a, b, line, term[2], term[3])
 
 
 def _renamed(ins, subst):
@@ -589,10 +626,35 @@ class _Exec:
                             self._bin_rule(binop, a, b, fname, ins[5])
                         regs[ins[2]] = value
                 top = term[0]
-                if top == BR:
-                    nxt = term[2] if regs[term[1]] else term[3]
+                if top == BRC_EQ:
+                    a = regs[term[2]]
+                    b = regs[term[3]]
+                    nxt = term[5] if a == b else term[6]
+                    if cmplog and len(cmp_log) < CMPLOG_CAP:
+                        cmp_log.append((a, b))
+                elif top >= BRC_BASE:  # the other fused compares
+                    a = regs[term[2]]
+                    b = regs[term[3]]
+                    try:
+                        if top == BRC_LT:
+                            taken = a < b
+                        elif top == BRC_LE:
+                            taken = a <= b
+                        elif top == BRC_GT:
+                            taken = a > b
+                        elif top == BRC_GE:
+                            taken = a >= b
+                        else:
+                            taken = a != b
+                    except TypeError:
+                        self._bin_rule(term[1], a, b, fname, term[4])
+                    nxt = term[5] if taken else term[6]
+                    if cmplog and len(cmp_log) < CMPLOG_CAP:
+                        cmp_log.append((a, b))
                 elif top == JMP:
                     nxt = term[1]
+                elif top == BR:
+                    nxt = term[2] if regs[term[1]] else term[3]
                 else:  # RET
                     self._count = count
                     if racts is not None:
@@ -759,13 +821,33 @@ class _Exec:
         )
 
     def _bi_memcmp(self, args, fname, line):
-        a = self._array_arg(args[0], fname, line)
-        aoff = self._int_arg(args[1], fname, line)
-        b = self._array_arg(args[2], fname, line)
-        boff = self._int_arg(args[3], fname, line)
-        n = self._int_arg(args[4], fname, line)
-        sa = self._bounded_slice(a, aoff, n, fname, line, traps.OOB_READ)
-        sb = self._bounded_slice(b, boff, n, fname, line, traps.OOB_READ)
+        a, aoff, b, boff, n = args
+        arrays = self._heap._arrays
+        # The guard is exactly the no-trap condition: two refs, three ints
+        # and both windows in bounds.  When it fails, the checked path
+        # below traps in the rule order.
+        if (
+            a.__class__ is ArrayRef
+            and b.__class__ is ArrayRef
+            and aoff.__class__ is int
+            and boff.__class__ is int
+            and n.__class__ is int
+            and 0 <= n
+            and 0 <= aoff
+            and aoff + n <= len(arrays[a.array_id])
+            and 0 <= boff
+            and boff + n <= len(arrays[b.array_id])
+        ):
+            sa = arrays[a.array_id]
+            sb = arrays[b.array_id]
+        else:
+            a = self._array_arg(a, fname, line)
+            aoff = self._int_arg(aoff, fname, line)
+            b = self._array_arg(b, fname, line)
+            boff = self._int_arg(boff, fname, line)
+            n = self._int_arg(n, fname, line)
+            sa = self._bounded_slice(a, aoff, n, fname, line, traps.OOB_READ)
+            sb = self._bounded_slice(b, boff, n, fname, line, traps.OOB_READ)
         self._count += n
         left = sa[aoff : aoff + n]
         right = sb[boff : boff + n]

@@ -1,8 +1,9 @@
 """The decoded form that the interpreter and the shadow loop run.
 
 :func:`repro.runtime.interpreter.decode` folds CONSTs into constant slots,
-forwards MOVs into the instruction that computed their source, and gives
-each BIN operator its own opcode.  Each case below is a hand-built CFG
+forwards MOVs into the instruction that computed their source, fuses a
+block-final compare into the BR that reads its result, and gives each BIN
+operator its own opcode.  Each case below is a hand-built CFG
 (in the style of ``tests/test_shadow_domains.py``) that exercises one
 rewrite, asserts what the decode did to it, and runs it through every
 executor: the interpreter, taint tracking and concolic extraction run the
@@ -14,12 +15,15 @@ detail, line and stack, ``instr_count``, probe totals and map.
 import pytest
 
 from repro.cfg.graph import FunctionCFG
+from repro.analysis.dataflow import Liveness, solve
+from repro.analysis.symbolic import ConcolicExec, format_expr
 from repro.cfg.instructions import (
     BIN,
     BINOPS,
     BR,
     BUILTIN,
     CALL,
+    COMPARISON_OPS,
     CONST,
     JMP,
     LOAD,
@@ -32,15 +36,18 @@ from repro.lang.builtins_spec import BUILTIN_CODES
 from repro.runtime import traps
 from repro.runtime.interpreter import (
     BIN_BASE,
+    BRC_BASE,
     DEFAULT_INSTR_BUDGET,
     _program_forms,
     decode,
     execute,
 )
 from repro.subjects import get_subject, subject_names
-from tests.executors import run_all_executors
+from repro.taint.track import TaintExec
+from tests.executors import outcome, run_all_executors
 
 ADD, DIV, EQ = BINOPS["+"], BINOPS["/"], BINOPS["=="]
+LT, NE = BINOPS["<"], BINOPS["!="]
 ALLOC = BUILTIN_CODES["alloc"]
 
 
@@ -118,8 +125,8 @@ def test_consts_fold_into_every_operand(data, retval):
     program = _folded_everywhere()
     func = program.func("main")
     template, blocks = _decoded(program)
-    (_, entry, br_term), (_, cmp_block, _), _, (_, ret_instrs, ret_term) = blocks
-    assert CONST not in _ops(entry) and CONST not in _ops(cmp_block)
+    (_, entry, br_term), (_, cmp_block, cmp_term), _, (_, ret_instrs, ret_term) = blocks
+    assert CONST not in _ops(entry) and cmp_block == ()
     assert ret_instrs == ()
     load, add, alloc, store, call = entry
     _slot(template, func, load[3], 0)
@@ -128,7 +135,7 @@ def test_consts_fold_into_every_operand(data, retval):
     _slot(template, func, store[2], 1)
     _slot(template, func, call[3][0], 3)
     _slot(template, func, br_term[1], 1)
-    _slot(template, func, cmp_block[0][4], 5)
+    _slot(template, func, cmp_term[3], 5)  # the fused compare's right operand
     _slot(template, func, ret_term[1], 9)
     # One slot per distinct constant: 1 feeds both the STORE and the BR.
     assert template[func.nregs :] == [0, 2, 4, 1, 3, 5, 9]
@@ -322,6 +329,230 @@ def test_timeout_in_a_folded_loop():
     assert result.instr_count == 2 + 3 * ((DEFAULT_INSTR_BUDGET - 2) // 3 + 1)
 
 
+# -- fused compares ----------------------------------------------------------------
+
+
+def _compare(binop, live_out=False, tail=()):
+    """main: r3 = input[0] OP 5, then ``tail``, then a BR on r3 to b1
+    (returns 1) or b2 (returns 2).  With ``live_out`` b1 reads r3."""
+    b1 = [(MOV, 4, 3)] if live_out else []
+    return _program(
+        (
+            "main",
+            1,
+            6,
+            [
+                (
+                    [
+                        (CONST, 1, 0),
+                        (LOAD, 1, 0, 1, 1),
+                        (CONST, 2, 5),
+                        (BIN, binop, 3, 1, 2, 2),
+                    ]
+                    + list(tail),
+                    (BR, 3, 1, 2),
+                ),
+                (b1 + [(CONST, 5, 1)], (RET, 5)),
+                ([(CONST, 5, 2)], (RET, 5)),
+            ],
+        )
+    )
+
+
+_PY_COMPARE = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+@pytest.mark.parametrize("byte", [4, 5, 6])
+@pytest.mark.parametrize("symbol", sorted(_PY_COMPARE))
+def test_each_compare_fuses_and_takes_both_ways(symbol, byte):
+    binop = BINOPS[symbol]
+    program = _compare(binop)
+    template, blocks = _decoded(program)
+    _, instrs, term = blocks[0]
+    assert _ops(instrs) == [LOAD]
+    assert term[:2] == (BRC_BASE + binop, binop)
+    assert term[2] == instrs[0][1] and template[term[3]] == 5
+    assert term[4:] == (2, 1, 2)
+    assert blocks[0][0] == 5
+    result = run_all_executors(program, bytes([byte]))
+    assert result.retval == (1 if _PY_COMPARE[symbol](byte, 5) else 2)
+    assert result.instr_count == 5 + 2
+
+
+def test_compare_live_out_of_its_block_stays_unfused():
+    program = _compare(LT, live_out=True)
+    _, blocks = _decoded(program)
+    _, instrs, term = blocks[0]
+    assert _ops(instrs) == [LOAD, BIN_BASE + LT]
+    assert term == (BR, 3, 1, 2)
+    assert run_all_executors(program, b"\x04").retval == 1
+
+
+@pytest.mark.parametrize(
+    "last, retval",
+    [((LOAD, 2, 0, 1, 1), 7), ((BIN, ADD, 2, 3, 3, 1), 14)],
+    ids=["load", "add"],
+)
+def test_branch_on_a_non_compare_stays_unfused(last, retval):
+    # main branches on r2 = input[0] (or input[0] + input[0]); b1 returns r2.
+    program = _program(
+        (
+            "main",
+            1,
+            4,
+            [
+                ([(CONST, 1, 0), (LOAD, 3, 0, 1, 1), last], (BR, 2, 1, 2)),
+                ([], (RET, 2)),
+                ([], (RET, -1)),
+            ],
+        )
+    )
+    _, blocks = _decoded(program)
+    assert _ops(blocks[0][1])[-1] == (LOAD if last[0] == LOAD else BIN_BASE + ADD)
+    assert blocks[0][2] == (BR, 2, 1, 2)
+    assert run_all_executors(program, b"\x00").retval == 0
+    assert run_all_executors(program, b"\x07").retval == retval
+
+
+def test_compare_before_a_folded_const_fuses():
+    # r4 = 9 is dead out of b0, so it folds away and the compare is last.
+    program = _compare(NE, tail=[(CONST, 4, 9)])
+    _, blocks = _decoded(program)
+    _, instrs, term = blocks[0]
+    assert _ops(instrs) == [LOAD]
+    assert term[0] == BRC_BASE + NE
+    assert blocks[0][0] == 6
+    result = run_all_executors(program, b"\x05")
+    assert (result.retval, result.instr_count) == (2, 6 + 2)
+
+
+@pytest.mark.parametrize("symbol", ["<", "<=", ">", ">="])
+def test_fused_ordering_on_a_ref_traps_at_the_compare(symbol):
+    # f compares its input ref against 0 at line 3.
+    binop = BINOPS[symbol]
+    program = _trapping([(CONST, 2, 0), (BIN, binop, 3, 0, 2, 3)])
+    f = program.func("f")
+    f.blocks[0].term = (BR, 3, 1, 1)
+    f.new_block().term = (RET, -1)
+    program.validate()
+    _, blocks = _decoded(program, "f")
+    assert blocks[0][1] == () and blocks[0][2][0] == BRC_BASE + binop
+    result = run_all_executors(program)
+    trap = result.trap
+    assert (trap.kind, trap.detail, trap.function, trap.line) == (
+        traps.TYPE_CONFUSION,
+        "array used as integer",
+        "f",
+        3,
+    )
+    assert [(frame.function, frame.line) for frame in trap.stack] == [
+        ("f", 3),
+        ("main", 1),
+    ]
+    assert result.instr_count == 2 + 3
+
+
+def test_timeout_in_a_block_ending_in_a_fused_compare():
+    # b1 adds a folded 1 to r1 and loops while r1 != 0, which it stays.
+    program = _program(
+        (
+            "main",
+            1,
+            5,
+            [
+                ([(CONST, 1, 0)], (JMP, 1)),
+                (
+                    [
+                        (CONST, 2, 1),
+                        (BIN, ADD, 1, 1, 2, 1),
+                        (CONST, 3, 0),
+                        (BIN, NE, 4, 1, 3, 1),
+                    ],
+                    (BR, 4, 1, 2),
+                ),
+                ([], (RET, -1)),
+            ],
+        )
+    )
+    _, blocks = _decoded(program)
+    assert _ops(blocks[1][1]) == [BIN_BASE + ADD]
+    assert blocks[1][2][0] == BRC_BASE + NE
+    result = run_all_executors(program)
+    assert result.timeout and result.trap is None
+    assert result.instr_count == 2 + 5 * ((DEFAULT_INSTR_BUDGET - 2) // 5 + 1)
+
+
+def _chain(live_out):
+    """main branches on input[0] + input[1] < 7, then on input[0] == 65.
+
+    b3 copies both compare results when ``live_out`` (so neither fuses)
+    and two other registers otherwise: the IR lengths are the same."""
+    copies = [(MOV, 8, 5), (MOV, 9, 6)] if live_out else [(MOV, 8, 1), (MOV, 9, 2)]
+    return _program(
+        (
+            "main",
+            1,
+            10,
+            [
+                (
+                    [
+                        (CONST, 3, 0),
+                        (LOAD, 1, 0, 3, 1),
+                        (CONST, 3, 1),
+                        (LOAD, 2, 0, 3, 1),
+                        (BIN, ADD, 3, 1, 2, 2),
+                        (CONST, 4, 7),
+                        (BIN, LT, 5, 3, 4, 3),
+                    ],
+                    (BR, 5, 1, 2),
+                ),
+                ([(CONST, 7, 65), (BIN, EQ, 6, 1, 7, 4)], (BR, 6, 3, 2)),
+                ([(CONST, 7, 2)], (RET, 7)),
+                (copies + [(CONST, 7, 3)], (RET, 7)),
+            ],
+        )
+    )
+
+
+def _taint_key(tmap):
+    sites = {
+        site: (rec.bits_a, rec.bits_b, rec.hits, rec.pairs)
+        for site, rec in tmap.cmp_sites.items()
+    }
+    return sites, tmap.branch_trail, tmap.branch_masks, tmap.control
+
+
+def _condition_key(condition):
+    return condition.truncated, [
+        (c.index, c.site, c.taken_dst, c.taken_true, format_expr(c.expr))
+        for c in condition
+    ]
+
+
+@pytest.mark.parametrize("data", [b"\x41\x01", b"\x41\x09", b"\x02\x01"])
+def test_fused_and_unfused_compares_observe_alike(data):
+    fused, unfused = _chain(False), _chain(True)
+    terms = [block[2][0] for block in _decoded(fused)[1][:2]]
+    assert terms == [BRC_BASE + LT, BRC_BASE + EQ]
+    assert [block[2][0] for block in _decoded(unfused)[1][:2]] == [BR, BR]
+    runs = []
+    for program in (fused, unfused):
+        result, tmap = TaintExec(program, None, cmplog=True).run(data)
+        sym_result, condition = ConcolicExec(program, None, cmplog=True).run(data)
+        assert outcome(sym_result) == outcome(result)
+        runs.append((outcome(result), _taint_key(tmap), _condition_key(condition)))
+        run_all_executors(program, data)
+    assert runs[0] == runs[1]
+    assert runs[0][1][0]  # the compares were seen
+
+
 # -- the form itself ---------------------------------------------------------------
 
 
@@ -337,6 +568,33 @@ def test_decoded_blocks_cost_their_ir(name):
             assert cost == len(block.instrs) + 1
             assert len(instrs) <= len(block.instrs)
             assert BIN not in _ops(instrs)
+
+
+@pytest.mark.parametrize("name", subject_names())
+def test_every_eligible_branch_is_fused(name):
+    # A BR stays plain only when no compare right before it writes its
+    # condition, or when that condition is live out of the block.
+    program = get_subject(name).program
+    fused = 0
+    for func in program.funcs:
+        live = solve(func, Liveness())
+        for block, (_, instrs, term) in zip(func.blocks, decode(func)[2]):
+            if term[0] >= BRC_BASE:
+                fused += 1
+                binop, line = term[1], term[4]
+                assert term[0] == BRC_BASE + binop and binop in COMPARISON_OPS
+                assert block.term[0] == BR and term[5:] == block.term[2:]
+                compares = [(ins[1], ins[5]) for ins in block.instrs if ins[0] == BIN]
+                assert compares[-1] == (binop, line)
+            elif term[0] == BR:
+                last = instrs[-1] if instrs else None
+                assert (
+                    last is None
+                    or last[0] - BIN_BASE not in COMPARISON_OPS
+                    or last[2] != term[1]
+                    or term[1] in live.exit[block.id]
+                )
+    assert fused
 
 
 def test_functions_decode_at_their_first_call_once():
