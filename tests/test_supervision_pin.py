@@ -347,18 +347,23 @@ def test_service_job_failures(tmp_path):
     root = str(tmp_path)
     bus, sink = _bus()
     # Job 0 loses its final "done" message, job 1 wedges before its second
-    # heartbeat, job 2 names no subject, and job 3 tears its last
-    # checkpoint, loses "done" and may not fall back to the store.
+    # heartbeat, job 2 finds a file squatting its store directory, and job
+    # 3 tears its last checkpoint, loses "done" and may not fall back to
+    # the store.
     faultinject.install(
         "job-drop@0.9,heartbeat-stall@1.2:secs=30,truncate@3.8:keep=10,job-drop@3.9"
     )
+    squat = os.path.join(root, "jobs", "j000002", "store")
+    os.makedirs(os.path.dirname(squat))
+    with open(squat, "w") as handle:
+        handle.write("not a directory")
     with CampaignService(
         root, max_workers=1, fsync=False, restart_policy=FAST_RETRIES, bus=bus
     ) as service:
         jobs = [
             service.submit("gdk", budget_ticks=JOB_BUDGET, heartbeat_timeout=1.0),
             service.submit("mp3gain", budget_ticks=JOB_BUDGET, heartbeat_timeout=1.0),
-            service.submit("no-such-subject", budget_ticks=JOB_BUDGET),
+            service.submit("gdk", budget_ticks=JOB_BUDGET),
             service.submit(
                 "gdk",
                 budget_ticks=JOB_BUDGET,
@@ -374,8 +379,7 @@ def test_service_job_failures(tmp_path):
     died = "WorkerDeadError: instance worker %d died mid-job ()"
     silent = "HeartbeatTimeoutError: instance worker 1 sent no heartbeat within 1.0s"
     task_error = (
-        "WorkerTaskError: instance worker 2 failed: "
-        "KeyError: \"unknown subject 'no-such-subject'\""
+        "WorkerTaskError: instance worker 2 failed: NotADirectoryError: <os-error>"
     )
     corrupt = (
         "CheckpointCorruptError: job j000003 refused its checkpoint: "
