@@ -22,7 +22,7 @@ Methodology notes (kept honest on purpose):
   how the compiled backend actually runs in campaigns.
 - ``codegen_s`` is the cold start a fresh process pays before its first
   compiled execution: generating and ``compile()``-ing the plain and
-  cmplog fast variants, timed through :func:`generate_sources` directly so
+  cmplog variants, timed through :func:`generate_sources` directly so
   neither the in-process compile memo nor ``REPRO_COMPILE_CACHE`` can
   serve it.  It is reported, not gated.
 - ``front_s`` is the cold MiniC front end before that: the best-of-repeats
@@ -80,14 +80,14 @@ def _measure(execute, inputs, min_seconds):
 
 def cold_codegen_seconds(program, instrumentation, prune, repeats=DEFAULT_REPEATS):
     """Best-of-``repeats`` seconds to generate and compile the plain and
-    cmplog fast variants, sharing liveness as one compiled program does."""
+    cmplog variants, sharing liveness as one compiled program does."""
     best = None
     for _ in range(repeats):
         live = {}
         start = _perf_counter()
         for cmplog in (False, True):
             sources = generate_sources(
-                program, instrumentation, prune, cmplog, fast=True, live=live
+                program, instrumentation, prune, cmplog, live=live
             )
             for source in sources:
                 compile(source, "<bench-codegen>", "exec")

@@ -55,22 +55,25 @@ Semantics are *identical* to the interpreter by construction and by test:
 the compiled code runs against the same runtime object (:class:`_Rt` is an
 :class:`~repro.runtime.interpreter._Exec` subclass, sharing the heap, the
 builtins, the trap/trace machinery, and the rare probe kinds), counts
-instructions block-for-block the same way, enforces the same budget and
-call-depth limits, and produces field-for-field equal
+instructions block-for-block the same way, enforces the same call-depth
+limit, and produces field-for-field equal
 :class:`~repro.runtime.interpreter.ExecutionResult` values — coverage maps,
 Ball-Larus path ids, trap sites, stack traces, cmplog operands, and virtual
-cost included.  ``tests/test_compiler*.py`` and the ``backend-equivalence``
-CI job hold that obligation on every input.
+cost included.  The budget is the interpreter's by construction: generated
+code checks it only at dispatch labels, and a run that reaches it is
+replayed on the interpreter, whose result is returned (see
+:class:`_Restart`).  ``tests/test_compiler*.py`` and the
+``backend-equivalence`` CI job hold that obligation on every input.
 
 Codegen runs cold in every fresh process (each ``repro fuzz``, service job
 attempt, instance worker and respawn), so each piece of its analysis runs
 once: one scan of a function's text for whole words picks the preamble
 aliases it binds, and each function's liveness is solved once per
-:class:`CompiledProgram`, shared by the plain, cmplog, fast and exact
-variants and by every inlined copy of the function.  For the deep
-subjects (sqlite3, cflow, lame, infotocap) generating the plain and cmplog
-fast variants takes 6–11 ms per subject, and CPython's ``compile()`` of
-that text 9–23 ms more (2-core host, Python 3.11).  The text itself is
+:class:`CompiledProgram`, shared by the plain and cmplog variants and by
+every inlined copy of the function.  For the deep subjects (sqlite3,
+cflow, lame, infotocap) generating the plain and cmplog variants takes
+6–11 ms per subject, and CPython's ``compile()`` of that text 9–23 ms
+more (2-core host, Python 3.11).  The text itself is
 pinned byte for byte by ``tests/test_codegen_pin.py``.
 
 Compiled programs are memoized in-process keyed on the package source
@@ -137,9 +140,10 @@ from repro.runtime.interpreter import (
     _Exec,
     byte_window,
     charge_hits,
+    execute as interpret,
     guard_failed,
 )
-from repro.runtime.traps import Timeout, Trap
+from repro.runtime.traps import Trap
 from repro.runtime.values import ArrayRef, wrap_int
 
 _U64 = (1 << 64) - 1
@@ -153,16 +157,18 @@ CACHE_ENV = "REPRO_COMPILE_CACHE"
 
 
 class _Restart(Exception):
-    """Raised by fast-variant code when a run nears the budget.
+    """Raised by generated code at a dispatch label past the budget.
 
-    The fast variant keeps exact instruction accounting but checks the
-    budget only at dispatch labels, returns, and trap sites instead of at
-    every block.  ``_n`` grows monotonically, so any exact-mode timeout is
-    eventually noticed at one of those points; execution is deterministic,
-    so the handler simply re-runs the input under the exact variant, which
-    reproduces the interpreter's timeout point (or completion) verbatim.
-    The aborted fast run has no observable effects: its state is discarded
-    by the reset that precedes the re-run.
+    Generated code keeps exact instruction accounting but checks the
+    budget only at dispatch labels, never per block; every cycle passes a
+    label, so the check bounds every run.  A run that ends (returns or
+    traps) past its budget is caught by the same test in
+    :meth:`CompiledProgram.execute`.  ``_n`` grows monotonically, so a
+    run within budget at its end never reached the interpreter's
+    per-block timeout; any other run is replayed, execution being
+    deterministic, on the interpreter, whose result is the outcome.  The
+    aborted compiled run has no observable effects: its state is discarded
+    by the reset that precedes the next run.
     """
 
 
@@ -174,9 +180,8 @@ class _Rt(_Exec):
     kinds (n-gram, h-path, path pairs) are *the same code* in both
     backends.  Generated code traps through one ``_*_at`` exit per check
     family, each running that family's ``_Exec`` trap rule: the
-    interpreter's own trap kinds, details and check order.  A pooled run
-    starts in :meth:`_rerun`; ``_Exec.run`` serves any direct caller, since
-    ``_call`` runs the compiled functions.  The instruction counter moves
+    interpreter's own trap kinds, details and check order.  A run starts
+    in :meth:`_rerun`.  The instruction counter moves
     into a one-element list (``_count_cell``) so generated code can flush
     its local tally through a fast alias; the ``_count`` property keeps
     the builtins' accounting and the result construction transparently in
@@ -204,9 +209,6 @@ class _Rt(_Exec):
     @_count.setter
     def _count(self, value):
         self._count_cell[0] = value
-
-    def _call(self, func_index, args):
-        return self._compiled[func_index](self, *args)
 
     # Trap exits: a failed generated guard calls one of these, which
     # flushes the frame's local tallies and runs the ``_Exec`` rule of its
@@ -246,7 +248,7 @@ class _Rt(_Exec):
 
     def _rerun(self, compiled, instr_budget, call_depth_limit, cmplog, input_bytes):
         """Reset per-execution state in place and run ``input_bytes`` under
-        the ``compiled`` variant — the pooled-runtime hot path.
+        the ``compiled`` function table — the pooled-runtime hot path.
 
         Clears that would rewrite an already-pristine field are skipped,
         and per-run state feeding the result is kept in locals.
@@ -278,17 +280,15 @@ class _Rt(_Exec):
         self._last_path_idx = 0x1505
         self._hpath_state = 0x811C9DC5
         arrays.append(list(input_bytes))
-        retval, trap, timeout = 0, None, False
+        retval, trap = 0, None
         try:
             retval = compiled[self._main_index](self, self._input_ref)
         except Trap as caught:
             trap = caught
-        except Timeout:
-            timeout = True
         return ExecutionResult(
             retval,
             trap,
-            timeout,
+            False,
             count_cell[0],
             probe_acc[0],
             probe_acc[1],
@@ -337,8 +337,9 @@ class CompiledProgram:
     """A program compiled under one instrumentation (and optional pruning).
 
     :meth:`execute` mirrors :func:`repro.runtime.interpreter.execute`.  The
-    cmplog variant (comparison-operand harvesting inlined at every
-    comparison) is generated lazily on first use.
+    plain and the cmplog variant (comparison-operand harvesting inlined at
+    every comparison) each get one function table, generated lazily on
+    first use.
     """
 
     __slots__ = (
@@ -348,8 +349,6 @@ class CompiledProgram:
         "_key",
         "_fns",
         "_fns_cmplog",
-        "_fns_fast",
-        "_fns_cmplog_fast",
         "_reconstruct",
         "_pure_hit",
         "_rt",
@@ -363,8 +362,6 @@ class CompiledProgram:
         self._key = key
         self._fns = None
         self._fns_cmplog = None
-        self._fns_fast = None
-        self._fns_cmplog_fast = None
         self._rt = None
         # Liveness solutions by function index, shared by every variant's
         # codegen (and every inlined callee); they depend on the IR alone.
@@ -379,21 +376,7 @@ class CompiledProgram:
         )
         self._pure_hit = instrumentation is not None and instrumentation.pure_hit
 
-    def _functions(self, cmplog, fast=False):
-        if fast:
-            if cmplog:
-                if self._fns_cmplog_fast is None:
-                    self._fns_cmplog_fast = _load_functions(
-                        self.program, self.instrumentation, self.prune,
-                        True, self._key, self._live, fast=True,
-                    )
-                return self._fns_cmplog_fast
-            if self._fns_fast is None:
-                self._fns_fast = _load_functions(
-                    self.program, self.instrumentation, self.prune,
-                    False, self._key, self._live, fast=True,
-                )
-            return self._fns_fast
+    def _functions(self, cmplog):
         if cmplog:
             if self._fns_cmplog is None:
                 self._fns_cmplog = _load_functions(
@@ -416,15 +399,12 @@ class CompiledProgram:
         cmplog=False,
     ):
         """Run ``main(input_bytes)``; drop-in for the interpreter's execute."""
+        fns = self._fns_cmplog if cmplog else self._fns
+        if fns is None:
+            fns = self._functions(cmplog)
         # One pooled runtime per compiled program: per-execution state is
         # reset in place instead of reallocated (the _busy guard falls back
         # to a fresh runtime under reentrant execution).
-        if cmplog:
-            fns = self._functions(True, fast=True)
-        else:
-            fns = self._fns_fast
-            if fns is None:
-                fns = self._functions(False, fast=True)
         rt = self._rt
         if rt is None or rt._busy:
             rt = _Rt(
@@ -438,39 +418,33 @@ class CompiledProgram:
             self._rt = rt
         rt._busy = True
         try:
-            try:
-                result = rt._rerun(
-                    fns, instr_budget, call_depth_limit, cmplog, input_bytes
-                )
-                replay = result.timeout or result.instr_count > instr_budget
-            except _Restart:
-                replay = True
-            if replay:
-                # The fast run crossed (or may have crossed) the budget:
-                # ``_n`` grows monotonically, so ``instr_count`` within the
-                # budget proves the exact variant's per-block checks would
-                # never have fired, and anything else is replayed — the
-                # program is deterministic — under the exact variant to
-                # reproduce the interpreter's precise timeout point.
-                result = rt._rerun(
-                    self._functions(cmplog),
-                    instr_budget,
-                    call_depth_limit,
-                    cmplog,
-                    input_bytes,
-                )
+            result = rt._rerun(
+                fns, instr_budget, call_depth_limit, cmplog, input_bytes
+            )
+        except _Restart:
+            result = None
         finally:
             rt._busy = False
+        if result is None or result.instr_count > instr_budget:
+            # The run reached its budget (see _Restart): the interpreter,
+            # on the full instrumentation, decides where it times out.
+            return interpret(
+                self.program,
+                input_bytes,
+                self.instrumentation,
+                instr_budget,
+                call_depth_limit,
+                cmplog,
+            )
         if self._pure_hit:
             # Charged before reconstruction: pruned probes were genuinely
             # not executed.
             charge_hits(result)
-        if self._reconstruct is not None and result.trap is None and not result.timeout:
+        if self._reconstruct is not None and result.trap is None:
             # Complete executions obey flow conservation, so every pruned
             # probe's count is the recorded signed combination of kept
-            # cells; partial (trapped / timed-out) executions keep the raw
-            # pruned map — the engine never feeds those to the virgin
-            # map's novelty merge.
+            # cells; trapped executions keep the raw pruned map — the
+            # engine never feeds those to the virgin map's novelty merge.
             self._reconstruct(result.hits)
         return result
 
@@ -585,22 +559,20 @@ def clear_cache():
     _MEMO.clear()
 
 
-def _disk_cache_path(key, cmplog, fast=False):
+def _disk_cache_path(key, cmplog):
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
     variant = "cmplog" if cmplog else "plain"
-    if fast:
-        variant += "-fast"
     return os.path.join(root, "%s-%s.json" % (key, variant))
 
 
-def _load_functions(program, instrumentation, prune, cmplog, key, live, fast=False):
+def _load_functions(program, instrumentation, prune, cmplog, key, live):
     """Generate (or load from the disk cache) and exec one variant's sources.
 
     ``live`` is the owning program's liveness dict (see generate_sources).
     """
-    path = _disk_cache_path(key, cmplog, fast)
+    path = _disk_cache_path(key, cmplog)
     sources = None
     if path is not None and os.path.exists(path):
         try:
@@ -611,9 +583,7 @@ def _load_functions(program, instrumentation, prune, cmplog, key, live, fast=Fal
         except (OSError, ValueError, KeyError):
             sources = None
     if sources is None:
-        sources = generate_sources(
-            program, instrumentation, prune, cmplog, fast, live=live
-        )
+        sources = generate_sources(program, instrumentation, prune, cmplog, live=live)
         if path is not None:
             try:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -625,7 +595,6 @@ def _load_functions(program, instrumentation, prune, cmplog, key, live, fast=Fal
 
     namespace = {
         "ArrayRef": ArrayRef,
-        "Timeout": Timeout,
         "_Restart": _Restart,
         "byte_window": byte_window,
     }
@@ -667,18 +636,14 @@ def _is_lit(expr):
     return expr[0] in "-0123456789"
 
 
-def generate_sources(
-    program, instrumentation, prune=None, cmplog=False, fast=False, live=None
-):
+def generate_sources(program, instrumentation, prune=None, cmplog=False, live=None):
     """Generated Python source text for every function (in index order).
 
-    ``fast`` selects the lazily-budget-checked variant (see
-    :class:`_Restart`): exact ``_n`` accounting, but the per-block budget
-    comparison moves to dispatch labels, returns, and trap sites, which
-    raise ``_Restart`` instead of ``Timeout``.  ``live`` maps function
-    index to its liveness solution and is filled as functions are solved;
-    pass the same dict for every variant of one program to solve each
-    function once (the default shares it across this call only).
+    The budget is checked at dispatch labels only (see :class:`_Restart`).
+    ``live`` maps function index to its liveness solution and is filled as
+    functions are solved; pass the same dict for both variants of one
+    program to solve each function once (the default shares it across
+    this call only).
     """
     if live is None:
         live = {}
@@ -688,7 +653,7 @@ def generate_sources(
     probe_locals = instrumentation is not None and not instrumentation.pure_hit
     return [
         _FunctionEmitter(
-            program, func, instrumentation, prune, cmplog, probe_locals, live, fast
+            program, func, instrumentation, prune, cmplog, probe_locals, live
         ).emit()
         for func in program.funcs
     ]
@@ -755,14 +720,12 @@ class _FunctionEmitter:
         cmplog,
         probe_locals,
         live,
-        fast=False,
     ):
         self.program = program
         self.root = func
         self.instrumentation = instrumentation
         self.prune = prune
         self.cmplog = cmplog
-        self.fast = fast
         self.mask = instrumentation.map_mask if instrumentation is not None else 0
         self.pair_paths = bool(
             instrumentation is not None and instrumentation.pair_paths
@@ -1855,10 +1818,6 @@ class _FunctionEmitter:
         block = self.func.blocks[block_id]
         if account:
             out.append(ind + "_n += %d" % (len(block.instrs) + 1))
-            if not self.fast:
-                out.append(ind + "if _n > _budget:")
-                out.extend(self._flush_lines(ind + "    "))
-                out.append(ind + "    raise Timeout(_budget)")
         instrs = block.instrs
         term = block.term
         fused = None
@@ -2014,15 +1973,14 @@ class _FunctionEmitter:
         )
         body = []
         if looping:
-            if self.fast:
-                # Every cycle re-enters the dispatch loop through a label
-                # (single-predecessor chains are cut off at the inline depth
-                # cap), so a budget guard per label bounds every run.
-                for label in labels:
-                    bodies[label] = [
-                        "if _n > _budget:",
-                        "    raise _Restart",
-                    ] + bodies[label]
+            # Every cycle re-enters the dispatch loop through a label
+            # (single-predecessor chains are cut off at the inline depth
+            # cap), so a budget guard per label bounds every run.
+            for label in labels:
+                bodies[label] = [
+                    "if _n > _budget:",
+                    "    raise _Restart",
+                ] + bodies[label]
             depths = _tree_depths(labels)
             shifted = {
                 label: ["    " * (2 + depths[label]) + line for line in bodies[label]]

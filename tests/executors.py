@@ -1,7 +1,7 @@
 """Every executor of one program, checked against the interpreter.
 
-The VM has five executors: the interpreter, the compiled backend's fast
-and exact variants, taint tracking and concolic extraction.  They must
+The VM has four executors: the interpreter, the compiled backend, taint
+tracking and concolic extraction.  They must
 agree field for field on every run, with cmplog off and on, under a
 pure-HIT feedback (``edge``) and a path feedback (``path``).  A Python
 exception escaping any of them fails the caller too: the VM turns every
@@ -10,12 +10,8 @@ fault of the program into a trap or a timeout in the result.
 
 from repro.analysis.symbolic import extract_path_condition
 from repro.coverage.feedback import feedback_by_name
-from repro.runtime.compiler import _Rt, compile_program
-from repro.runtime.interpreter import (
-    DEFAULT_CALL_DEPTH,
-    DEFAULT_INSTR_BUDGET,
-    execute as interp_execute,
-)
+from repro.runtime.compiler import compile_program
+from repro.runtime.interpreter import execute as interp_execute
 from repro.runtime.values import ArrayRef
 from repro.taint import taint_execute
 
@@ -47,20 +43,6 @@ def outcome(result):
     )
 
 
-def run_exact(compiled, data, cmplog):
-    """The exact compiled variant, which ``execute`` reaches only on a
-    budget overrun.  ``_Exec.run`` charges pure-HIT probes itself."""
-    runtime = _Rt(
-        compiled._functions(cmplog),
-        compiled.program,
-        compiled.instrumentation,
-        DEFAULT_INSTR_BUDGET,
-        DEFAULT_CALL_DEPTH,
-        cmplog,
-    )
-    return runtime.run(data)
-
-
 def run_all_executors(program, data=b"\x01\x02"):
     """The interpreter's plain ``edge`` result, after checking every other
     executor against the interpreter under ``edge`` and ``path``, cmplog
@@ -77,8 +59,7 @@ def run_all_executors(program, data=b"\x01\x02"):
             # cmplog only observes: everything but its log is the plain run's.
             assert want[:-1] == without_cmplog[:-1], (name, "cmplog")
             runs = {
-                "fast": compiled.execute(data, cmplog=cmplog),
-                "exact": run_exact(compiled, data, cmplog),
+                "compiled": compiled.execute(data, cmplog=cmplog),
                 "taint": taint_execute(program, data, instrumentation, cmplog=cmplog)[0],
             }
             if not cmplog:

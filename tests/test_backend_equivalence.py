@@ -9,12 +9,14 @@ compiled backend's throughput numbers.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.coverage.feedback import feedback_by_name
 from repro.fuzzer.engine import EngineConfig, FuzzEngine
 from repro.fuzzer.mutators import havoc
+from repro.lang import compile_source
 from repro.runtime.backend import make_backend
 from repro.subjects import get_subject
 
@@ -67,8 +69,10 @@ def test_backends_agree_on_seeds_and_mutants(subject_name, feedback_name):
         assert _result_key(got) == _result_key(ref)
 
 
-def _campaign_fingerprint(subject, feedback_name, backend, ticks=2_000_000):
-    config = EngineConfig(backend=backend, max_input_len=subject.max_input_len)
+def _campaign_fingerprint(subject, feedback_name, backend, ticks=2_000_000, **config):
+    config = EngineConfig(
+        backend=backend, max_input_len=subject.max_input_len, **config
+    )
     engine = FuzzEngine(
         subject.program,
         feedback_by_name(feedback_name),
@@ -101,6 +105,37 @@ def test_campaigns_are_tick_identical_across_backends(feedback_name):
     subject = get_subject("flvmeta")
     ref = _campaign_fingerprint(subject, feedback_name, "interp")
     got = _campaign_fingerprint(subject, feedback_name, "compile")
+    assert got == ref
+
+
+# Spins forever once the first byte is 'H': every such run times out.
+SPINNER = """
+fn main(input) {
+    var acc = 0;
+    for (var i = 0; i < len(input); i = i + 1) {
+        acc = acc + input[i];
+        if (input[0] == 'H') {
+            while (acc > 0) { acc = acc + 1; }
+        }
+    }
+    return acc;
+}
+"""
+
+
+def test_campaign_with_hangs_is_tick_identical_across_backends():
+    """Timed-out runs are replayed on the interpreter, so a campaign that
+    keeps hanging charges the same ticks on both backends."""
+    spinner = SimpleNamespace(
+        program=compile_source(SPINNER), seeds=[b"AB"], tokens=(), max_input_len=16
+    )
+    ref = _campaign_fingerprint(
+        spinner, "edge", "interp", ticks=400_000, exec_instr_budget=1_000
+    )
+    got = _campaign_fingerprint(
+        spinner, "edge", "compile", ticks=400_000, exec_instr_budget=1_000
+    )
+    assert ref["hangs"]
     assert got == ref
 
 

@@ -86,8 +86,8 @@ def test_every_builtin_callable_from_minic():
 # neither its class nor its value), on codegen-constant
 # operands (integer literals, arrays of proven class) and on string-literal
 # operands (every read-only window a literal).  Each rendering runs under
-# the interpreter, the compiled fast and exact variants, taint tracking and
-# concolic extraction, cmplog off and on, under ``edge`` and ``path``; all
+# the interpreter, the compiled backend, taint tracking and concolic
+# extraction, cmplog off and on, under ``edge`` and ``path``; all
 # must agree field for field with the interpreter.
 
 # Argument shapes: an integer, a writable array, a readable array (a

@@ -10,9 +10,9 @@ every execution:
   counts are decided at codegen, and constant windows are hoisted.
 
 The boundary program builds every operand at run time from input bytes, so
-nothing folds; each case runs under the interpreter and under both compiled
-variants (fast, and exact with per-block budget checks), cmplog off and
-on, and the results must agree field for field.
+nothing folds; each case runs under the interpreter and under the
+compiled backend, cmplog off and on, and the results must agree field
+for field.
 """
 
 import struct
@@ -32,12 +32,8 @@ from repro.cfg.instructions import (
 from repro.coverage.feedback import feedback_by_name
 from repro.lang import compile_source
 from repro.runtime import traps
-from repro.runtime.compiler import _Rt, compile_program, generate_sources
-from repro.runtime.interpreter import (
-    DEFAULT_CALL_DEPTH,
-    DEFAULT_INSTR_BUDGET,
-    execute as interp_execute,
-)
+from repro.runtime.compiler import compile_program, generate_sources
+from repro.runtime.interpreter import execute as interp_execute
 from repro.runtime.values import ArrayRef, wrap_int
 
 MIN = -(1 << 63)
@@ -69,24 +65,9 @@ def _result_key(result):
     )
 
 
-def _run_exact(compiled, data, cmplog):
-    """The exact variant (per-block budget checks), which ``execute`` only
-    reaches on a budget overrun."""
-    program, instrumentation = compiled.program, compiled.instrumentation
-    runtime = _Rt(
-        compiled._functions(cmplog),
-        program,
-        instrumentation,
-        DEFAULT_INSTR_BUDGET,
-        DEFAULT_CALL_DEPTH,
-        cmplog,
-    )
-    return runtime.run(data)
-
-
 def run_everywhere(source, inputs, feedbacks=("path", "edge")):
-    """Interpreter results, after checking that every compiled variant
-    agrees on every input."""
+    """Interpreter results, after checking that the compiled backend
+    agrees on every input, cmplog off and on."""
     program = compile_source(source)
     results = []
     for name in feedbacks:
@@ -95,11 +76,8 @@ def run_everywhere(source, inputs, feedbacks=("path", "edge")):
         for cmplog in (False, True):
             for data in inputs:
                 ref = interp_execute(program, data, instrumentation, cmplog=cmplog)
-                fast = compiled.execute(data, cmplog=cmplog)
-                exact = _run_exact(compiled, data, cmplog)
-                want = _result_key(ref)
-                assert _result_key(fast) == want, (name, cmplog, data)
-                assert _result_key(exact) == want, (name, cmplog, data)
+                got = compiled.execute(data, cmplog=cmplog)
+                assert _result_key(got) == _result_key(ref), (name, cmplog, data)
                 if name == feedbacks[0] and not cmplog:
                     results.append(ref)
     return results

@@ -2,8 +2,7 @@
 
 Each digest in ``PINNED`` covers every subject's :func:`generate_sources`
 output under ``path``, under ``edge`` and under ``edge`` with its probe
-pruning plan, each with cmplog off and on and in the exact and the fast
-(lazily budget-checked) variants.  Code generation is pure string work, so
+pruning plan, each with cmplog off and on.  Code generation is pure string work, so
 the digests hold on every supported Python version and under any
 ``PYTHONHASHSEED``; a digest that moves with either is a nondeterminism
 bug in the compiler, not a reason to pin per version.
@@ -48,8 +47,8 @@ PINNED = {
     "tiffsplit": "608094b8d0b797fe8210c3a0ae8ccd050e8babbc2fe666908f373984e7821c89",
 }
 
-# Every (cmplog, fast) variant a CompiledProgram can build.
-VARIANTS = ((False, False), (True, False), (False, True), (True, True))
+# The cmplog flag of every variant a CompiledProgram can build.
+VARIANTS = (False, True)
 
 
 def source_sets(program):
@@ -62,9 +61,9 @@ def source_sets(program):
         ("edge+prune", edge, build_prune_plan(program, edge)),
     )
     for label, instrumentation, prune in plans:
-        for cmplog, fast in VARIANTS:
-            sources = generate_sources(program, instrumentation, prune, cmplog, fast)
-            yield (label, cmplog, fast), sources
+        for cmplog in VARIANTS:
+            sources = generate_sources(program, instrumentation, prune, cmplog)
+            yield (label, cmplog), sources
 
 
 def codegen_digest(name):
@@ -101,15 +100,15 @@ def test_one_program_builds_every_variant_as_fresh(name, order, tmp_path, monkey
     compiler.clear_cache()
     try:
         compiled = compile_program(program, instrumentation)
-        for cmplog, fast in order:
-            compiled._functions(cmplog, fast=fast)
-        for cmplog, fast in order:
-            path = compiler._disk_cache_path(compiled._key, cmplog, fast)
+        for cmplog in order:
+            compiled._functions(cmplog)
+        for cmplog in order:
+            path = compiler._disk_cache_path(compiled._key, cmplog)
             with open(path) as handle:
                 built = json.load(handle)["sources"]
             assert built == generate_sources(
-                program, instrumentation, None, cmplog, fast
-            ), (cmplog, fast)
+                program, instrumentation, None, cmplog
+            ), cmplog
     finally:
         compiler.clear_cache()
 

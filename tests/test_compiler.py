@@ -95,11 +95,41 @@ def test_timeout_point_is_exact():
     instrumentation = feedback_by_name("path").instrument(program)
     data = bytes(range(256)) * 2
     # Walk budgets across the whole execution, including values far below
-    # one loop iteration: the replayed exact variant must stop at the same
-    # instruction the interpreter does.
+    # one loop iteration: a run past its budget is replayed on the
+    # interpreter, and one within it must not be.
     full = interp_execute(program, data, instrumentation)
     for budget in (1, 17, 100, full.instr_count - 1, full.instr_count):
         assert_equivalent(program, data, instrumentation, instr_budget=budget)
+
+
+SPINNING = """
+fn helper(x) {
+    if (x > 7) { return x - 5; }
+    return x + 3;
+}
+
+fn main(input) {
+    var acc = len(input);
+    while (1) { acc = helper(acc); }
+    return acc;
+}
+"""
+
+
+def test_pruned_timeout_is_the_interpreters_run():
+    """A pruned program's timed-out run is replayed on the interpreter
+    over the full instrumentation: its map and probe charges are the
+    interpreter's, not the pruned program's partial ones."""
+    program = compile_source(SPINNING)
+    instrumentation = feedback_by_name("edge").instrument(program)
+    plan = build_prune_plan(program, instrumentation)
+    assert plan is not None and plan.dropped > 0
+    got = compile_program(program, instrumentation, plan).execute(
+        b"AB", instr_budget=500
+    )
+    ref = interp_execute(program, b"AB", instrumentation, instr_budget=500)
+    assert ref.timeout
+    assert _result_key(got) == _result_key(ref)
 
 
 def test_cmplog_operands_match():

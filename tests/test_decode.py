@@ -7,8 +7,8 @@ operator its own opcode.  Each case below is a hand-built CFG
 (in the style of ``tests/test_shadow_domains.py``) that exercises one
 rewrite, asserts what the decode did to it, and runs it through every
 executor: the interpreter, taint tracking and concolic extraction run the
-decoded form, and the compiled backend's fast and exact variants run
-code generated from the IR.  They must agree on retval, trap kind,
+decoded form, and the compiled backend runs code generated from the
+IR.  They must agree on retval, trap kind,
 detail, line and stack, ``instr_count``, probe totals and map.
 """
 
