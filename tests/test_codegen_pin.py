@@ -26,25 +26,25 @@ from repro.runtime.compiler import compile_program, generate_sources
 from repro.subjects import all_subject_names, get_subject
 
 PINNED = {
-    "cflow": "3a5130b92c529fa43b60ad9f4c7826439b4f8c39b6c151f177139449ae7a5477",
-    "exiv2": "22ec382cbaec344e2d2c1cf06d7c1ab9497c88a3cb1ab745c75e033863d2dadf",
-    "ffmpeg": "ee4c2b95d2eb457f3b5cba0a68ac3e0b682e99f8271b242604356026f0a079fb",
-    "flvmeta": "578f331db4b5fc5150a3299e06b5d62ef9580e8f29ca38a886695849417115b3",
-    "gdk": "9b620f9c006dd3054bab48d3c65d80cc55551e7d9d8319e99bee8ef6c2d13237",
-    "imginfo": "ccb9656a0d76c92af20a273a8a59e1e42d02be772192f101f5133ebb65c5d273",
-    "infotocap": "bdf8ed93fe74a2cad431df036dc209227e177e2a638ea7be063b8b465b1845fe",
-    "jhead": "04b22641eebe8dd046716d3feae19992fa6cac56ea5aa9dbc8a13378fd0a4236",
-    "jq": "a6abfe5ec6862d395a879579f1882fdf71d2dddf9693c1df68deabbb975438eb",
-    "lame": "569f1064785957e5bb1bec3ebedc1ad3be403be5495b1176cdaa8e744f6c7e2a",
-    "motivating": "76d1fe83e9f9494fdcc92bfa9964281f6d79bb775b6e241cda4a0636fa8da86e",
-    "mp3gain": "ea948577a870bf9d6c6238a20598e32d286824a33e5ae990070e2472f196f5da",
-    "mp42aac": "5a732b6eaaf0b4114d78fa4ef4622cfa6364f4cd715cc8efe008f34fe5606925",
-    "mujs": "63a31c8165cac084f85a4ec4c0dcb58df8ba3a01e5aa33ce1ef9ad89a0c9c187",
-    "nm_new": "4076c0b5feb82d19ae14c0b807ab43bcfd5d6216b3affb4e43d1a60b72380748",
-    "objdump": "dc39f5a062c163c81d5239d3cd375dbb337e383ffdffbe505ecccc1cdc2f833e",
-    "pdftotext": "93b8166b52868e30d12ec360a4e76b88cac6259f59435a4d99645801b0b58b36",
-    "sqlite3": "eba7f996d8bd746c435cee060e45ea9dab3612aeac02d9b03ffc1f46cb05ed66",
-    "tiffsplit": "608094b8d0b797fe8210c3a0ae8ccd050e8babbc2fe666908f373984e7821c89",
+    "cflow": "80af71e5d73a60df33e4f9947037ec047183154a668f4ed1c5695ee1d8456717",
+    "exiv2": "be81ce57f385dd99facde83381fdd22ec1b8b6cb5905eb1ec07fe62e00428923",
+    "ffmpeg": "bdb02e8d6c8c15a47d569554d874c2c6fdc1f08fc4f267a3f6feaa9941487e6e",
+    "flvmeta": "996f4fcc088e5f1af0dc9d76cc79008cf80832e4bee502fb6b7a9bb30ca6a91f",
+    "gdk": "34e78a1ae8d7e3948ca407a29a64c2786a318abd7ba4633c56af507f00ee7851",
+    "imginfo": "96733a42d40a1e8bfe11714c16ebb327a72a2a721e4748b7091b3706f4794a55",
+    "infotocap": "5237400d403f5a3031d752c856d2d8a85d9c4160e1c05b8a41f89ccebbf5a86c",
+    "jhead": "7c7cf921f6d2a237454e3d8579c2c92a3fa00fa798608952b27905326434f7d1",
+    "jq": "d9436b7c6a2cf0b6f786954b19c475b2bbbb7e25f93538407f79344628d5c8ee",
+    "lame": "5ec1092880e4cf2c846b91a2fd029a66449e527b925978a06e2ecd58e6421831",
+    "motivating": "f0ebcfddb21803422c9c65d91103f720531f911ab6a21e04b4ee909446d3d2bb",
+    "mp3gain": "c0c0b14b417f5b76b55c9a46777fa6cb1445c4aaa37a5692bf3361054bf2e283",
+    "mp42aac": "59b82c00a1567c6ca29e4e3c82a14df148b516b1536c0218f815827548e42161",
+    "mujs": "fdf134f169da65ecac65035e87235e53eb2832d937708d1b68ec921f0151af1d",
+    "nm_new": "4996864480ab1fdc4beb522bccd63ca62e33833786990caed80d1d9c8d04e7f6",
+    "objdump": "e220bf35c4a3d85ae21939d642d47fd0826f4234ac2c45f57e158ee86a8ace43",
+    "pdftotext": "aca3c416864a7684cc847ca23ee14346d8ce0455b422fd1172075d3c613aeb79",
+    "sqlite3": "3a901ee6e0407212fbb7bfb1c73ea1a82e05bfa852e6dcff4d18c05b998c0246",
+    "tiffsplit": "9aa2a14e4553f6010d14cba218b8556e97a33bd7f49e9e0af5888da7ab9dacd0",
 }
 
 # The cmplog flag of every variant a CompiledProgram can build.
