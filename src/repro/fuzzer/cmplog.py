@@ -39,10 +39,12 @@ def _positions(data, pattern, pos, cap):
 def candidates_from_log(data, cmp_log, max_candidates=64):
     """Derive substitution candidates for ``data`` from a comparison log.
 
-    ``cmp_log`` holds ``(a, b)`` pairs: two ints (scalar comparisons) or two
-    bytes objects (memcmp windows).  For every pair, occurrences of one
-    side's encoding in ``data`` are patched to the other side.  Deduplicated
-    and capped to keep the stage's execution budget bounded.
+    ``cmp_log`` holds ``(a, b)`` pairs: two ints (scalar comparisons), two
+    bytes objects (memcmp windows), or, for ``==``/``!=`` on arrays, pairs
+    holding an ``ArrayRef``, which have no encoding and are skipped.  For
+    every other pair, occurrences of one side's encoding in ``data`` are
+    patched to the other side.  Deduplicated and capped to keep the stage's
+    execution budget bounded.
     """
     seen = set()
     seen_pairs = set()
@@ -50,16 +52,17 @@ def candidates_from_log(data, cmp_log, max_candidates=64):
     for a, b in cmp_log:
         if len(out) >= max_candidates:
             break
+        if type(a) is not type(b) or not isinstance(a, (int, bytes)):
+            continue
         # A seed that loops over a comparison logs the same operand pair on
         # every iteration; each duplicate would re-derive an identical
         # candidate set (all already in ``seen``).  Skipping by normalized
         # pair key changes nothing in the output — both directions are
         # tried symmetrically below — and cuts the stage's derivation work.
-        if isinstance(a, (int, bytes)) and type(a) is type(b):
-            key = (a, b) if a <= b else (b, a)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
+        key = (a, b) if a <= b else (b, a)
+        if key in seen_pairs:
+            continue
+        seen_pairs.add(key)
         if isinstance(a, bytes):
             if not a or len(a) != len(b):
                 continue

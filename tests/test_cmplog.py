@@ -1,8 +1,15 @@
 """Input-to-state (cmplog) substitution tests."""
 
+import random
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.coverage.feedback import feedback_by_name
 from repro.fuzzer.cmplog import candidates_from_log
+from repro.fuzzer.engine import EngineConfig, FuzzEngine
+from repro.lang import compile_source
+from repro.runtime.values import ArrayRef
 
 
 def test_byte_pair_substitution():
@@ -93,6 +100,42 @@ def test_end_to_end_solves_magic():
     assert any(execute(program, c).retval == 1 for c in candidates)
 
 
+# ``==`` on an array logs the ref itself: such pairs have no encoding.
+REF_COMPARE = """
+fn main(input) {
+    if (input == 0) { return 1; }
+    if (len(input) > 2) {
+        if (input[0] == 'Q') { return 2; }
+    }
+    return 0;
+}
+"""
+
+
+def test_ref_pairs_add_no_candidate():
+    ref = ArrayRef(1)
+    log = [(ref, 0), (7, ref), (ref, ArrayRef(2, readonly=True)), (0x41, 0x51)]
+    assert candidates_from_log(b"AB", log) == candidates_from_log(
+        b"AB", [(0x41, 0x51)]
+    )
+
+
+@pytest.mark.parametrize("backend", ["interp", "compile"])
+def test_campaign_survives_a_compared_ref(backend):
+    """The cmplog stage of a program that compares its input array with
+    ``==`` logs a ref; the campaign runs on and solves the byte compare."""
+    engine = FuzzEngine(
+        compile_source(REF_COMPARE),
+        feedback_by_name("edge"),
+        [b"AB"],
+        random.Random(1),
+        EngineConfig(backend=backend, max_input_len=16),
+        (),
+    )
+    engine.run(100_000)
+    assert any(entry.data[:1] == b"Q" for entry in engine.queue.entries)
+
+
 # -- the derivation against a frozen copy of its first version ----------------
 #
 # ``candidates_from_log`` searches each encoding of an integer operand once
@@ -173,21 +216,34 @@ _CHUNKS = [b"\x00", b"A", b"AB", b"\x01\x02", b"\x00\x00\x01"]
 _REPEATS = st.lists(st.sampled_from(_CHUNKS), max_size=12).map(b"".join)
 
 
+_REFS = st.builds(ArrayRef, st.integers(0, 3), st.booleans())
+
+
 @st.composite
 def _log(draw):
     """Int and bytes pairs: equal pairs, length mismatches, empty
-    patterns, and a repeated prefix for duplicates."""
+    patterns, and a repeated prefix for duplicates; and pairs holding a
+    ref, as ``==`` on arrays logs them."""
     pairs = []
     for _ in range(draw(st.integers(0, 8))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(("int", "bytes", "ref")))
+        if kind == "int":
             a = draw(_INTS)
             b = a if draw(st.booleans()) else draw(_INTS)
-        else:
+        elif kind == "bytes":
             a = draw(_BYTES)
             same_length = st.binary(min_size=len(a), max_size=len(a))
             b = draw(same_length | _BYTES)
+        else:
+            a, b = draw(_REFS), draw(_REFS | _INTS)
+            if draw(st.booleans()):
+                a, b = b, a
         pairs.append((a, b))
     return pairs + pairs[: draw(st.integers(0, 3))]
+
+
+def _has_ref(pair):
+    return isinstance(pair[0], ArrayRef) or isinstance(pair[1], ArrayRef)
 
 
 @settings(max_examples=400, deadline=None)
@@ -200,4 +256,7 @@ def _log(draw):
     cap=st.sampled_from([0, 1, 2, 3, 5, 64]),
 )
 def test_candidates_match_the_frozen_derivation(data, log, cap):
-    assert candidates_from_log(data, log, cap) == _oracle_candidates(data, log, cap)
+    """Ref pairs add no candidate: the derivation equals the frozen one
+    on the log without them."""
+    plain = [pair for pair in log if not _has_ref(pair)]
+    assert candidates_from_log(data, log, cap) == _oracle_candidates(data, plain, cap)
