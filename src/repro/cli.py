@@ -1043,19 +1043,16 @@ def cmd_bench(args):
 
 def _parse_submit_spec(text):
     """``subject[:config[:seed[:tenant[:prio]]]]`` -> submit() kwargs."""
+    from repro.service import AdmissionError
+    from repro.service.orchestrator import check_admissible
+
     parts = text.split(":")
     subject = parts[0]
-    if subject not in all_subject_names():
-        raise SystemExit(
-            "repro serve: error: unknown subject %r in --submit %r"
-            % (subject, text)
-        )
     config = parts[1] if len(parts) > 1 and parts[1] else "path"
-    if config not in FUZZER_CONFIGS:
-        raise SystemExit(
-            "repro serve: error: unknown config %r in --submit %r"
-            % (config, text)
-        )
+    try:
+        check_admissible(subject, config)
+    except AdmissionError as exc:
+        raise SystemExit("repro serve: error: %s in --submit %r" % (exc, text))
     try:
         run_seed = int(parts[2]) if len(parts) > 2 and parts[2] else 0
         priority = int(parts[4]) if len(parts) > 4 and parts[4] else 0
@@ -1210,7 +1207,7 @@ def cmd_job(args):
     import json
 
     from repro.fuzzer.store import StoreLockError
-    from repro.service import list_job_crashes, submit_offline
+    from repro.service import AdmissionError, list_job_crashes, submit_offline
     from repro.service.intake import drain_request
     from repro.service.orchestrator import (
         JOBS_DIR,
@@ -1220,17 +1217,20 @@ def cmd_job(args):
     )
 
     if args.action == "submit":
-        job_id = submit_offline(
-            args.root,
-            subject=args.subject,
-            config=args.config,
-            run_seed=args.run_seed,
-            tenant=args.tenant,
-            priority=args.priority,
-            budget_ticks=args.budget_ticks,
-            max_retries=args.max_retries,
-            require_checkpoint=args.require_checkpoint,
-        )
+        try:
+            job_id = submit_offline(
+                args.root,
+                subject=args.subject,
+                config=args.config,
+                run_seed=args.run_seed,
+                tenant=args.tenant,
+                priority=args.priority,
+                budget_ticks=args.budget_ticks,
+                max_retries=args.max_retries,
+                require_checkpoint=args.require_checkpoint,
+            )
+        except AdmissionError as exc:
+            raise SystemExit("repro job: error: %s" % exc)
         if job_id.startswith("req-"):
             print("requested %s (a live service owns %s; track it with "
                   "`repro job %s status %s`)"

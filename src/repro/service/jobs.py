@@ -50,7 +50,8 @@ class ServiceError(RuntimeError):
 
 
 class AdmissionError(ServiceError):
-    """The job was refused at submit time (quota exceeded)."""
+    """The job was refused at submit time (a subject or config no worker
+    can run, or the tenant's quota exceeded)."""
 
 
 class OverloadError(AdmissionError):

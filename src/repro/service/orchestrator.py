@@ -37,6 +37,7 @@ import os
 import signal
 import time
 
+from repro.experiments.config import FUZZER_CONFIGS
 from repro.fuzzer.checkpoint import CheckpointError
 from repro.fuzzer.store import (
     CRASH_DIR,
@@ -76,6 +77,7 @@ from repro.service.jobs import (
 from repro.service.journal import JobJournal
 from repro.service.lease import LeaseLostError, ServiceLease, read_fence
 from repro.service.worker import STORE_DIR, job_worker_main
+from repro.subjects import all_subject_names
 from repro.telemetry.bus import ServiceEvent, WorkerDroppedEvent, get_bus
 
 JOBS_DIR = "jobs"
@@ -132,6 +134,21 @@ def list_job_crashes(jobs_root, job_id):
     return crashes
 
 
+def check_admissible(subject, config):
+    """Raise :class:`AdmissionError` unless a worker can run ``subject``
+    under ``config``, which must name one plain (single-engine) config.
+
+    The one admission check: :meth:`CampaignService.submit` runs it, and
+    so the daemon's re-check of an intake request, and
+    :func:`submit_offline` runs it before journaling or handing off.
+    """
+    if subject not in all_subject_names():
+        raise AdmissionError("unknown subject %r" % (subject,))
+    spec = FUZZER_CONFIGS.get(config)
+    if spec is None or spec.kind != "plain":
+        raise AdmissionError("no single-engine config %r" % (config,))
+
+
 def submit_offline(root, **spec_kwargs):
     """Journal a submission (``repro job submit``), live root or stopped.
 
@@ -142,8 +159,10 @@ def submit_offline(root, **spec_kwargs):
     admission and settles it.  Returns the job id on the direct path and
     the ``req-…`` nonce on the live path — callers can tell them apart by
     the prefix, and ``repro job status <nonce>`` resolves a settled nonce
-    to its job.
+    to its job.  Raises :class:`AdmissionError` for a subject or config
+    no worker can run (see :func:`check_admissible`).
     """
+    check_admissible(spec_kwargs.get("subject"), spec_kwargs.get("config", "path"))
     root = os.path.abspath(root)
     os.makedirs(root, exist_ok=True)
     try:
@@ -434,13 +453,15 @@ class CampaignService:
     ):
         """Admit one campaign; returns its job id.
 
-        Raises :class:`AdmissionError` when the tenant's pending quota is
-        full and :class:`OverloadError` for low-priority submissions while
-        the overload breaker is open.  ``request`` names the intake nonce
+        Raises :class:`AdmissionError` for a subject or config no worker
+        can run (:func:`check_admissible`) or when the tenant's pending
+        quota is full, and :class:`OverloadError` for low-priority
+        submissions while the overload breaker is open.  ``request`` names the intake nonce
         this submission settles (live ``repro job submit`` against the
         daemon) — it rides in the journal payload so the fold can prove
         the request was converted exactly once.
         """
+        check_admissible(subject, config)
         policy = self._policy(tenant)
         pending = [
             record

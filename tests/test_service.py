@@ -32,8 +32,10 @@ from repro.service import (
     WallBudgetError,
     list_job_crashes,
     load_job_table,
+    load_service_state,
     submit_offline,
 )
+from repro.service import intake
 from repro.service.journal import JobJournal
 from repro.service.jobs import (
     CANCELLED,
@@ -280,6 +282,31 @@ def test_overload_breaker_sheds_low_priority_only(tmp_path):
             service.cancel(record.spec.job_id)
         service._update_breaker()
         assert not service.breaker_open
+
+
+@pytest.mark.parametrize(
+    "subject, config",
+    [("no-such-subject", "path"), ("gdk", "no-such-config"), ("gdk", "cull")],
+)
+def test_unrunnable_jobs_are_refused_at_admission(tmp_path, subject, config):
+    root = str(tmp_path)
+    with pytest.raises(AdmissionError):
+        submit_offline(root, subject=subject, config=config)
+    with CampaignService(root, fsync=False) as service:
+        with pytest.raises(AdmissionError):
+            service.submit(subject, config=config, budget_ticks=BUDGET)
+        # Against the live root, submit_offline refuses before it writes a
+        # request file; one written past it fails the daemon's re-check.
+        with pytest.raises(AdmissionError):
+            submit_offline(root, subject=subject, config=config)
+        assert intake.scan_requests(root) == ([], [])
+        nonce = intake.submit_request(root, {"subject": subject, "config": config})
+        service._pump_intake()
+        assert service.handled_requests[nonce] is None
+        assert service.jobs == {}
+    state, _, pending = load_service_state(root)
+    assert (state.jobs, pending) == ({}, [])
+    assert state.handled == {nonce: None}
 
 
 def test_cancel_is_terminal_and_idempotent(tmp_path):
