@@ -23,7 +23,7 @@ from repro.fuzzer.cmplog import candidates_from_log
 from repro.fuzzer.concolic import ConcolicState, concolic_enabled
 from repro.fuzzer.corpus import Queue
 from repro.fuzzer.masked import masked_candidates, masked_havoc, sweep_candidates
-from repro.fuzzer.mutators import deterministic_mutations, havoc, random_bytes, splice
+from repro.fuzzer.mutators import havoc, random_bytes, splice
 from repro.fuzzer.schedule import havoc_iterations, performance_score
 from repro.fuzzer.store import content_hash
 from repro.runtime.backend import make_backend
@@ -40,6 +40,9 @@ TAINT_SWEEP_BYTES = 2
 TAINT_REVISITS = 4
 CONCOLIC_REVISITS = 2
 
+#: At most this many cmplog substitution candidates per queue entry.
+CMPLOG_MAX_CANDIDATES = 48
+
 
 class EngineConfig:
     """Tunables of the fuzzing loop (defaults model AFL++ 4.07a)."""
@@ -47,14 +50,10 @@ class EngineConfig:
     __slots__ = (
         "max_input_len",
         "use_cmplog",
-        "use_splice",
-        "use_det",
         "legacy_havoc",
-        "havoc_multiplier",
         "exec_instr_budget",
         "call_depth_limit",
         "timeline_interval",
-        "cmplog_max_candidates",
         "backend",
         "probe_prune",
         "use_taint",
@@ -67,14 +66,10 @@ class EngineConfig:
         self,
         max_input_len=512,
         use_cmplog=True,
-        use_splice=True,
-        use_det=False,
         legacy_havoc=False,
-        havoc_multiplier=0.32,
         exec_instr_budget=60_000,
         call_depth_limit=64,
         timeline_interval=256,
-        cmplog_max_candidates=48,
         backend=None,
         probe_prune=False,
         use_taint=None,
@@ -84,14 +79,10 @@ class EngineConfig:
     ):
         self.max_input_len = max_input_len
         self.use_cmplog = use_cmplog
-        self.use_splice = use_splice
-        self.use_det = use_det
         self.legacy_havoc = legacy_havoc
-        self.havoc_multiplier = havoc_multiplier
         self.exec_instr_budget = exec_instr_budget
         self.call_depth_limit = call_depth_limit
         self.timeline_interval = timeline_interval
-        self.cmplog_max_candidates = cmplog_max_candidates
         # Execution backend: None defers to REPRO_BACKEND (default interp).
         # probe_prune elides flow-derivable probes under the compiled
         # backend (coverage maps unchanged; probe charges drop).
@@ -113,12 +104,7 @@ class EngineConfig:
 
 def afl_engine_config(**overrides):
     """The AFL 2.52b-flavoured configuration used by the Appendix C baselines."""
-    defaults = dict(
-        use_cmplog=False,
-        legacy_havoc=True,
-        use_det=False,
-        havoc_multiplier=0.32,
-    )
+    defaults = dict(use_cmplog=False, legacy_havoc=True)
     defaults.update(overrides)
     return EngineConfig(**defaults)
 
@@ -473,15 +459,10 @@ class FuzzEngine:
         config = self.config
         avg_cost, avg_trace = self._averages()
         score = performance_score(entry, avg_cost, avg_trace)
-        iterations = havoc_iterations(score, config.havoc_multiplier)
+        iterations = havoc_iterations(score)
         if config.use_cmplog and not entry.cmplog_done:
             self._cmplog_stage(entry)
             entry.cmplog_done = True
-        if config.use_det and entry.favored and not entry.was_fuzzed:
-            for candidate in deterministic_mutations(entry.data, self.tokens):
-                if self.clock.expired():
-                    return
-                self._run_and_process(candidate[: config.max_input_len], entry.depth + 1)
         tel = self.telemetry
         for _ in range(iterations):
             if self.clock.expired():
@@ -497,7 +478,7 @@ class FuzzEngine:
             if tel is not None:
                 tel.record_stage("mutate", _perf_counter() - t0)
             self._run_and_process(mutated, entry.depth + 1)
-        if config.use_splice and len(self.queue.entries) > 1:
+        if len(self.queue.entries) > 1:
             for _ in range(max(2, iterations // 4)):
                 if self.clock.expired():
                     return
@@ -684,7 +665,7 @@ class FuzzEngine:
         if result.crashed or result.timeout:
             return
         candidates = candidates_from_log(
-            entry.data, result.cmp_log, self.config.cmplog_max_candidates
+            entry.data, result.cmp_log, CMPLOG_MAX_CANDIDATES
         )
         for candidate in candidates:
             if self.clock.expired():

@@ -322,21 +322,3 @@ def splice(rng, first, second):
     while cut_b >= n:
         cut_b = gb(k)
     return bytes(first[: cut_a + 1] + second[cut_b:])
-
-
-def deterministic_mutations(data, tokens=()):
-    """A light deterministic stage: walking byte flips + token overwrites.
-
-    Yields candidate inputs.  AFL++ skips full deterministic stages by
-    default; this trimmed version is only run for favored entries when the
-    engine is configured with ``use_det=True``.
-    """
-    for pos in range(len(data)):
-        buf = bytearray(data)
-        buf[pos] ^= 0xFF
-        yield bytes(buf)
-    for token in tokens:
-        for pos in range(0, max(len(data) - len(token) + 1, 0), max(len(token), 1)):
-            buf = bytearray(data)
-            buf[pos : pos + len(token)] = token
-            yield bytes(buf)

@@ -14,6 +14,9 @@ energy the uninterrupted one would have (see
 :mod:`repro.fuzzer.checkpoint`).
 """
 
+#: Havoc executions per point of perf score (see :func:`havoc_iterations`).
+HAVOC_MULTIPLIER = 0.32
+
 
 def performance_score(entry, avg_exec_cost, avg_trace_size):
     """AFL-style perf score (100 = neutral), clamped to [10, 1600]."""
@@ -66,10 +69,10 @@ def performance_score(entry, avg_exec_cost, avg_trace_size):
     return max(10.0, min(score, 1600.0))
 
 
-def havoc_iterations(score, multiplier=0.32):
+def havoc_iterations(score):
     """Havoc stage length for a perf score.
 
-    ``multiplier`` compresses AFL's 256-iteration baseline to the virtual-
-    clock scale: a neutral entry gets ~32 havoc executions per visit.
+    :data:`HAVOC_MULTIPLIER` compresses AFL's 256-iteration baseline to the
+    virtual-clock scale: a neutral entry gets ~32 havoc executions per visit.
     """
-    return max(8, int(score * multiplier))
+    return max(8, int(score * HAVOC_MULTIPLIER))

@@ -82,21 +82,6 @@ def test_splice_with_empty_sides():
     assert mutators.splice(rng(), b"ab", b"") in (b"a", b"ab")
 
 
-def test_deterministic_mutations_walk_every_byte():
-    variants = list(mutators.deterministic_mutations(b"abc"))
-    assert len(variants) == 3
-    assert all(len(v) == 3 for v in variants)
-    # each variant differs in exactly one position
-    for pos, variant in enumerate(variants):
-        diffs = [i for i in range(3) if variant[i] != b"abc"[i]]
-        assert diffs == [pos]
-
-
-def test_deterministic_token_stage():
-    variants = list(mutators.deterministic_mutations(b"\x00" * 8, [b"AB"]))
-    assert any(b"AB" in v for v in variants)
-
-
 @settings(max_examples=80)
 @given(st.binary(min_size=0, max_size=40), st.integers(0, 2 ** 31), st.booleans())
 def test_havoc_respects_max_len_property(data, seed, legacy):
