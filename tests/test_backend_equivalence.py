@@ -69,9 +69,11 @@ def test_backends_agree_on_seeds_and_mutants(subject_name, feedback_name):
         assert _result_key(got) == _result_key(ref)
 
 
-def _campaign_fingerprint(subject, feedback_name, backend, ticks=2_000_000, **config):
+def _campaign_fingerprint(
+    subject, feedback_name, backend, ticks=2_000_000, **overrides
+):
     config = EngineConfig(
-        backend=backend, max_input_len=subject.max_input_len, **config
+        backend=backend, max_input_len=subject.max_input_len, **overrides
     )
     engine = FuzzEngine(
         subject.program,
