@@ -41,6 +41,7 @@ from repro.experiments.config import FUZZER_CONFIGS
 from repro.fuzzer.checkpoint import CheckpointError
 from repro.fuzzer.store import (
     CRASH_DIR,
+    TRIAGE_SIDECAR,
     StoreLockError,
     acquire_pidfile_lock,
     list_sealed,
@@ -126,7 +127,7 @@ def list_job_crashes(jobs_root, job_id):
             continue
         triage = None
         try:
-            with open(path + ".triage.json", encoding="utf-8") as handle:
+            with open(path + TRIAGE_SIDECAR, encoding="utf-8") as handle:
                 triage = json.load(handle)
         except (OSError, ValueError):
             pass

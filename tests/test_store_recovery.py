@@ -21,6 +21,7 @@ from repro.fuzzer.faultinject import injected
 from repro.fuzzer.parallel import run_instance_campaign
 from repro.fuzzer.store import (
     CRASH_DIR,
+    CRASH_SIDECARS,
     CampaignStore,
     campaign_queue_hashes,
     parse_sealed_name,
@@ -110,7 +111,13 @@ def test_injected_store_damage_is_quarantined_not_fatal(tmp_path):
         )
     assert not merged.degraded  # degraded at worst — here fully recovered
     quarantine = os.listdir(os.path.join(root, worker_name(0), "quarantine"))
-    assert len(quarantine) == 2  # both damaged artifacts evicted
+    evicted = [name for name in quarantine if not name.endswith(CRASH_SIDECARS)]
+    assert len(evicted) == 2  # both damaged artifacts evicted
+    # A damaged crash takes its sidecars along.
+    assert sorted(quarantine) == sorted(
+        evicted
+        + [name + sfx for name in evicted if ",sig:" in name for sfx in CRASH_SIDECARS]
+    )
     _, _, bad = _on_disk_state(root)
     assert bad == []
 
